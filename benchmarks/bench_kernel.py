@@ -2,9 +2,9 @@
 """Object-vs-array ring-kernel microbenchmark and perf gate.
 
 Times the kernel-bound hot paths (ring build, successor resolution, a churn
-epoch with targeted finger rebuilds, greedy lookup paths) under both
-kernels at the same size, reports per-op speedups, and optionally runs the
-10^5-node Table 3 / Fig 7(a) scale check on the array kernel.
+epoch with targeted finger rebuilds) under both kernels at the same size,
+reports per-op speedups, and optionally runs the 10^5-node Table 3 /
+Fig 7(a) scale check on the array kernel.
 
 This is the repo's first perf-trajectory benchmark: its JSON output is
 committed as ``BENCH_kernel.json`` and CI re-runs the benchmark with
@@ -31,7 +31,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.anonymity.ring_model import LightweightRing
 from repro.chord.ring import ChordRing, RingConfig
 from repro.sim.rng import RandomSource
 
@@ -78,13 +77,6 @@ def op_churn_epoch(ring, n_events=300):
         ring.mark_alive(victim)
 
 
-def op_lookup_paths(lookup_ring, n_paths=1000):
-    rnd = random.Random(3)
-    n = lookup_ring.n_nodes
-    for _ in range(n_paths):
-        lookup_ring.query_path_positions(rnd.randrange(n), rnd.randrange(n))
-
-
 def run_ops(n_nodes, repeats):
     """Per-op best-of-``repeats`` seconds for both kernels."""
     ops = {}
@@ -101,15 +93,6 @@ def run_ops(n_nodes, repeats):
     ops["churn_epoch"] = {
         "gate": True,
         **{k: best_of(repeats, op_churn_epoch, rings[k]) for k in KERNELS},
-    }
-
-    lookup_rings = {
-        k: LightweightRing(n_nodes=n_nodes, fraction_malicious=0.2, seed=0, kernel=k)
-        for k in KERNELS
-    }
-    ops["lookup_paths"] = {
-        "gate": True,
-        **{k: best_of(repeats, op_lookup_paths, lookup_rings[k]) for k in KERNELS},
     }
 
     for op in ops.values():

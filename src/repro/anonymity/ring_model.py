@@ -19,11 +19,10 @@ Both the anonymity estimators and the pre-simulation distribution builders
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set
 
 from ..chord.idspace import IdSpace
-from ..sim.kernel import FingerMatrix, greedy_path_positions, validate_kernel
+from ..sim.kernel import FingerMatrix, greedy_path_positions
 from ..sim.rng import RandomSource
 
 
@@ -50,12 +49,6 @@ class LightweightRing:
         positions the adversary corrupts (uniform random when ``None``).
         :mod:`repro.scenarios.adversary` supplies clustered-eclipse,
         join-leave and high-degree strategies through this hook.
-    kernel:
-        Lookup-path backend (see :mod:`repro.sim.kernel`): ``"object"``
-        walks finger candidates with per-candidate bisects (the historical
-        loop below), ``"array"`` precomputes a flat finger-position matrix
-        and runs the same greedy selection over it — byte-identical paths,
-        built for the paper's 100,000-node sweeps.
     """
 
     def __init__(
@@ -66,13 +59,11 @@ class LightweightRing:
         id_bits: int = 40,
         finger_count: Optional[int] = None,
         placement=None,
-        kernel: str = "object",
     ) -> None:
         if n_nodes < 8:
             raise ValueError("the lightweight ring needs at least 8 nodes")
         if not 0.0 <= fraction_malicious <= 1.0:
             raise ValueError("fraction_malicious must be in [0, 1]")
-        self.kernel = validate_kernel(kernel)
         self._finger_matrix: Optional[FingerMatrix] = None
         self.n_nodes = n_nodes
         self.fraction_malicious = fraction_malicious
@@ -132,53 +123,11 @@ class LightweightRing:
         the query density peaks — the property the range-estimation adversary
         exploits.
         """
-        if self.kernel == "array":
-            matrix = self._finger_matrix
-            if matrix is None:
-                matrix = FingerMatrix(
-                    self.ids, self.space.size, self.finger_count, self.space.bits
-                )
-                self._finger_matrix = matrix
-            return greedy_path_positions(matrix, initiator_pos, target_pos, max_hops)
-        space = self.space
-        path: List[int] = []
-        current_pos = initiator_pos
-        for _ in range(max_hops):
-            current_id = self.ids[current_pos]
-            # Termination: the current node's immediate successor owns the key.
-            succ_pos = (current_pos + 1) % self.n_nodes
-            if self.hop_distance(current_pos, target_pos) <= 1:
-                break
-            if succ_pos == target_pos:
-                break
-            # Candidate next hops: true fingers + 6 successors.
-            best_pos = None
-            best_gap = None
-            for i in range(self.finger_count):
-                ideal = space.normalize(current_id + (1 << i))
-                cand = self.position_of_id(ideal)
-                gap = self.hop_distance(cand, target_pos)
-                if cand == current_pos:
-                    continue
-                # Candidate must precede (or be) the target.
-                if self.hop_distance(current_pos, cand) > self.hop_distance(current_pos, target_pos):
-                    continue
-                if best_gap is None or gap < best_gap:
-                    best_pos, best_gap = cand, gap
-            for step in range(1, 7):
-                cand = (current_pos + step) % self.n_nodes
-                if self.hop_distance(current_pos, cand) > self.hop_distance(current_pos, target_pos):
-                    break
-                gap = self.hop_distance(cand, target_pos)
-                if best_gap is None or gap < best_gap:
-                    best_pos, best_gap = cand, gap
-            if best_pos is None or best_pos == current_pos:
-                break
-            path.append(best_pos)
-            if best_pos == target_pos:
-                break
-            current_pos = best_pos
-        return path
+        matrix = self._finger_matrix
+        if matrix is None:
+            matrix = FingerMatrix(self.ids, self.space.size, self.finger_count, self.space.bits)
+            self._finger_matrix = matrix
+        return greedy_path_positions(matrix, initiator_pos, target_pos, max_hops)
 
     # --------------------------------------------------------------- sampling
     def random_position(self, stream: str = "positions") -> int:

@@ -11,9 +11,9 @@ parameter-grid campaigns:
   (serial / process pool / shared file queue + ``campaign-worker`` loop);
 * :mod:`repro.campaign.scheduling` — longest-expected-first dispatch from
   per-grid-cell elapsed history;
-* :mod:`repro.campaign.aggregate` — mean/std/CI summaries per grid cell;
-* :mod:`repro.campaign.streaming` — the mergeable accumulators behind both
-  the batch aggregation and the queue workers' partial-summary commits;
+* :mod:`repro.campaign.streaming` — mean/std/CI summaries per grid cell:
+  the mergeable accumulators behind both the batch aggregation and the
+  queue workers' partial-summary commits;
 * :mod:`repro.campaign.telemetry` — worker heartbeats and partial-summary
   writers (the files ``repro campaign-status`` reads);
 * :mod:`repro.campaign.status` — the read-only live campaign status view;
@@ -38,15 +38,6 @@ Typical use::
 or, from the command line, ``python -m repro campaign --help``.
 """
 
-from .aggregate import (
-    aggregate_records,
-    group_key,
-    strip_timing,
-    summarize,
-    summarize_ignored_axes,
-    summarize_timing,
-    summary_rows,
-)
 from .backends import (
     Backend,
     FileQueueBackend,
@@ -91,7 +82,11 @@ from .streaming import (
     IgnoredAxesAccumulator,
     MetricAccumulator,
     TimingAccumulator,
+    aggregate_records,
+    group_key,
     merge_partial_summaries,
+    strip_timing,
+    summary_rows,
 )
 from .telemetry import PartialSummaryWriter, WorkerHeartbeat, WorkerTelemetry
 
@@ -145,8 +140,5 @@ __all__ = [
     "scenario_summary_rows",
     "schedule_trials",
     "strip_timing",
-    "summarize",
-    "summarize_ignored_axes",
-    "summarize_timing",
     "summary_rows",
 ]

@@ -57,7 +57,7 @@ def execute_trial(trial: Dict[str, object], worker: str = "") -> Dict[str, objec
     metrics = detail.pop("metrics", None) or result.scalar_metrics()
     # Wall-clock (and the executor label) live under "timing", never inside
     # "metrics": the determinism guarantee (serial == parallel) covers a
-    # record with "timing" stripped — see aggregate.strip_timing.
+    # record with "timing" stripped — see streaming.strip_timing.
     timing: Dict[str, object] = {"elapsed_s": elapsed}
     if worker:
         timing["worker"] = worker

@@ -34,7 +34,7 @@ from fnmatch import fnmatchcase
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..experiments.results import format_table
-from .aggregate import group_metric_cells, summary_rows
+from .streaming import group_metric_cells, summary_rows
 from .spec import canonical_json
 
 #: ``formatter(adapter, summary) -> str`` renders one figure's aggregate rows.

@@ -4,7 +4,7 @@
 
     <out_dir>/
       spec.json             # the campaign spec as run
-      summary.json          # aggregated metrics (see aggregate.py)
+      summary.json          # aggregated metrics (see streaming.py)
       trials/
         <trial_id>.json     # one record per completed trial
       queue/                # file-queue backend only (see backends/queue.py)
@@ -36,7 +36,7 @@ re-run automatically.
 Each record also carries a ``timing`` block (``{"elapsed_s": ...}``, written
 by the runner) with the trial's wall-clock cost.  It is informational only:
 resumed trials keep the timing of the run that actually produced them, and
-determinism comparisons go through ``aggregate.strip_timing``.
+determinism comparisons go through ``streaming.strip_timing``.
 
 The queue layout exists so independent worker processes — possibly on other
 machines sharing the directory over a network filesystem — can cooperate on

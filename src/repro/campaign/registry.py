@@ -1,7 +1,9 @@
 """Registry mapping experiment kinds to pickleable campaign entry points.
 
-Each adapter pairs a config dataclass with the module-level ``run_<kind>``
-function from :mod:`repro.experiments`.  Workers receive only the kind name
+Each adapter pairs a config dataclass with a module-level ``run_<kind>``
+function.  The base kinds are not named here: one adapter is registered per
+row of :data:`repro.experiments.kinds.BASE_KINDS`, plus the two
+scenario-layer kinds that wrap them.  Workers receive only the kind name
 and a plain parameter dict, look the adapter up in their own process, build
 the typed config, and run — so nothing that crosses the process boundary
 needs to be pickleable beyond builtins.
@@ -16,13 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Tuple
 
-from ..experiments.ablation import AblationConfig, run_ablation
-from ..experiments.anonymity import AnonymityExperimentConfig, run_anonymity
-from ..experiments.efficiency import EfficiencyExperimentConfig, run_efficiency
-from ..experiments.load import LoadConfig, run_load
+from ..experiments.kinds import BASE_KINDS
 from ..experiments.results import config_from_dict
-from ..experiments.security import SecurityExperimentConfig, run_security
-from ..experiments.timing import TimingExperimentConfig, run_timing
 from ..scenarios.adaptive import AdaptiveConfig, run_adaptive
 from ..scenarios.experiment import ScenarioConfig, run_scenario
 
@@ -68,54 +65,17 @@ def available_kinds() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-for _adapter in (
+for _row in BASE_KINDS.values():
+    register_experiment(ExperimentAdapter(_row.name, _row.config_cls, _row.run, _row.description))
+register_experiment(
     ExperimentAdapter(
-        kind="security",
-        config_cls=SecurityExperimentConfig,
-        entry_point=run_security,
-        description="attacker identification under active attacks (Figs 3/4/9, Table 2)",
-    ),
+        "scenario", ScenarioConfig, run_scenario,
+        "any base experiment under named churn/workload/adversary axes (repro.scenarios)",
+    )
+)
+register_experiment(
     ExperimentAdapter(
-        kind="anonymity",
-        config_cls=AnonymityExperimentConfig,
-        entry_point=run_anonymity,
-        description="initiator/target anonymity sweeps (Figs 5/6)",
-    ),
-    ExperimentAdapter(
-        kind="efficiency",
-        config_cls=EfficiencyExperimentConfig,
-        entry_point=run_efficiency,
-        description="latency/bandwidth comparison (Table 3, Fig 7(a))",
-    ),
-    ExperimentAdapter(
-        kind="timing",
-        config_cls=TimingExperimentConfig,
-        entry_point=run_timing,
-        description="timing-analysis error rates (Table 1)",
-    ),
-    ExperimentAdapter(
-        kind="ablation",
-        config_cls=AblationConfig,
-        entry_point=run_ablation,
-        description="multi-path / dummy-query design ablation (Section 4.2)",
-    ),
-    ExperimentAdapter(
-        kind="load",
-        config_cls=LoadConfig,
-        entry_point=run_load,
-        description="open-loop sustained-RPS load sweep (offered vs delivered, latency knee)",
-    ),
-    ExperimentAdapter(
-        kind="scenario",
-        config_cls=ScenarioConfig,
-        entry_point=run_scenario,
-        description="any base experiment under named churn/workload/adversary axes (repro.scenarios)",
-    ),
-    ExperimentAdapter(
-        kind="adaptive",
-        config_cls=AdaptiveConfig,
-        entry_point=run_adaptive,
-        description="security run under mid-run attacker strategy x defense policy controllers",
-    ),
-):
-    register_experiment(_adapter)
+        "adaptive", AdaptiveConfig, run_adaptive,
+        "security run under mid-run attacker strategy x defense policy controllers",
+    )
+)

@@ -18,7 +18,7 @@ which backend, worker, or completion order produced them — all three
 backends yield byte-identical trial records and aggregates once the
 per-trial ``timing`` block (wall-clock seconds, the one intentionally
 non-deterministic field) is stripped; see
-:func:`repro.campaign.aggregate.strip_timing`.
+:func:`repro.campaign.streaming.strip_timing`.
 
 For the parallel backends, pending trials are dispatched
 longest-expected-first (:func:`repro.campaign.scheduling.schedule_trials`),

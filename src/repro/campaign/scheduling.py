@@ -6,7 +6,7 @@ long trial is dispatched last, every other worker drains the queue and then
 idles behind it.  The classic remedy is LPT — longest processing time first —
 and campaigns already record exactly the data it needs: every ``summary.json``
 carries a ``timing.cells`` block with the mean elapsed seconds of each grid
-cell (see :func:`repro.campaign.aggregate.summarize_timing`), keyed by the
+cell (see :class:`repro.campaign.streaming.TimingAccumulator`), keyed by the
 stable :func:`repro.campaign.spec.cost_key`.
 
 :func:`schedule_trials` folds that history into a dispatch order:

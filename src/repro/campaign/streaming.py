@@ -1,7 +1,14 @@
-"""Incremental, mergeable aggregation of trial records.
+"""Aggregation of per-trial metrics into per-configuration summaries.
 
-This module is the streaming core behind :mod:`repro.campaign.aggregate`:
-instead of re-reading every trial record into memory and folding them in one
+Trials are grouped by their parameters *minus the seed*: each group is one
+cell of the campaign's parameter grid, its seeds the repeated measurements.
+Every scalar metric is summarised as mean / sample standard deviation /
+95% confidence half-width / min / max / n.  The confidence interval uses the
+normal approximation ``1.96 * std / sqrt(n)`` (not Student's t) — campaigns
+usually run enough seeds for the difference not to matter, and ``n`` is
+reported so a stricter reader can re-derive t-based intervals.
+
+Instead of re-reading every trial record into memory and folding them in one
 pass, summaries are built from *accumulators* that
 
 * **update** one record at a time (a worker folds each record the moment it
@@ -53,6 +60,19 @@ from .spec import CampaignSpec, canonical_json, cost_key
 def group_key(params: Mapping[str, object]) -> str:
     """Canonical identity of a grid cell: the parameters without the seed."""
     return canonical_json({k: v for k, v in params.items() if k != "seed"})
+
+
+def strip_timing(data: Mapping[str, object]) -> Dict[str, object]:
+    """A trial record or summary without its wall-clock ``timing`` block.
+
+    This is the determinism-compared view: serial and parallel runs of the
+    same spec must produce byte-identical trial records and summaries *after*
+    this projection, because elapsed wall-clock is the one field that
+    legitimately varies between otherwise identical runs.  The per-trial
+    profiling snapshot (``timing.profile``, opt-in via ``REPRO_PROFILE``)
+    rides inside the timing block for exactly this reason.
+    """
+    return {k: v for k, v in data.items() if k != "timing"}
 
 
 def _fraction_state(value: Fraction) -> List[int]:
@@ -117,9 +137,8 @@ class MetricAccumulator:
     def summary(self) -> Dict[str, float]:
         """The ``{mean, std, ci95, min, max, n}`` block of ``summary.json``.
 
-        Matches :func:`repro.campaign.aggregate.summarize` edge cases
-        exactly: ``{"n": 0}`` when empty, ``std == ci95 == 0.0`` for a single
-        sample.  The mean is the correctly-rounded float of the exact mean,
+        Edge cases: ``{"n": 0}`` when empty, ``std == ci95 == 0.0`` for a
+        single sample.  The mean is the correctly-rounded float of the exact mean,
         so it does not depend on accumulation or merge order.
         """
         if self.n == 0:
@@ -164,7 +183,14 @@ class MetricAccumulator:
 
 
 class TimingAccumulator:
-    """Streaming version of the summary's ``timing`` block.
+    """The summary's ``timing`` block: per-trial ``timing.elapsed_s`` folded
+    into campaign-wide totals, a per-grid-cell ``cells`` breakdown (keyed by
+    :func:`~repro.campaign.spec.cost_key` — the elapsed history
+    ``schedule_trials`` reads to dispatch longest-expected-first), a
+    ``workers`` breakdown for records stamped with their executing worker,
+    and a ``profile`` roll-up of ``timing.profile`` snapshots.  Records
+    without the relevant field simply don't contribute; empty blocks are
+    omitted.
 
     Wall-clock genuinely varies between runs and lives outside the
     determinism-compared view (``strip_timing`` drops it wholesale), so plain
@@ -343,7 +369,13 @@ class TimingAccumulator:
 
 
 class IgnoredAxesAccumulator:
-    """Streaming per-base-kind rollup of scenario axes trials could not apply."""
+    """Per-base-kind rollup of scenario axes trials could not apply.
+
+    Scenario records report axes their base harness cannot express under
+    ``detail.scenario.ignored_axes``; this folds them into ``{base_kind:
+    {"axes": [...], "n_trials": N}}`` so a sweep over kinds surfaces the gap
+    in ``summary.json`` and the CLI.  The summary key is omitted when empty.
+    """
 
     def __init__(self) -> None:
         # base_kind -> (set of axis names, record count)
@@ -651,3 +683,69 @@ def merge_partial_summaries(store, trials) -> CampaignAccumulator:
             if record is not None:
                 merged.add_record(record)
     return merged
+
+
+def aggregate_records(
+    records: Sequence[Mapping[str, object]],
+    spec: Optional[CampaignSpec] = None,
+) -> Dict[str, object]:
+    """Fold trial records into the ``summary.json`` structure.
+
+    A batch fold over :class:`CampaignAccumulator` — the streaming runner and
+    the queue backend's merged partial summaries produce byte-identical
+    structures because they share this accumulator.
+    Records with an already-seen trial id are folded once (records are
+    deterministic, so dropping the duplicate is exact).
+    """
+    acc = CampaignAccumulator()
+    for record in records:
+        acc.add_record(record)
+    return acc.finalize(spec=spec)
+
+
+def group_metric_cells(
+    group: Mapping[str, object], metric_names: Sequence[str]
+) -> Tuple[int, List[object]]:
+    """(n, formatted cells) of one summary group's metric columns.
+
+    The single definition of the metric-cell contract every rendered table
+    shares: ``mean±ci95`` per metric, an empty cell for a metric the group
+    never recorded, and ``n`` as the max over the group's metrics.
+    """
+    stats = group["metrics"]
+    ns = [s.get("n", 0) for s in stats.values()]
+    cells: List[object] = []
+    for name in metric_names:
+        stat = stats.get(name)
+        if not stat or stat.get("n", 0) == 0:
+            cells.append("")
+        else:
+            cells.append(f"{stat['mean']:.4g}±{stat['ci95']:.2g}")
+    return (max(ns) if ns else 0), cells
+
+
+def summary_rows(summary: Mapping[str, object], metrics: Optional[Sequence[str]] = None) -> Tuple[List[str], List[List[object]]]:
+    """Flatten a summary into (headers, rows) for ``format_table``.
+
+    One row per group; varied parameters first, then ``mean±ci95`` per metric.
+    ``metrics`` selects/orders the metric columns (default: all, sorted).
+    """
+    groups = summary.get("groups", [])
+    if not groups:
+        return [], []
+    # Only show parameters that actually vary between groups (plus n).
+    all_params = sorted({k for g in groups for k in g["params"]})
+    varied = [
+        k for k in all_params
+        if len({canonical_json(g["params"].get(k)) for g in groups}) > 1
+    ] or all_params[:1]
+    metric_names = list(metrics) if metrics else sorted({m for g in groups for m in g["metrics"]})
+    headers = varied + ["n"] + metric_names
+    rows: List[List[object]] = []
+    for g in groups:
+        row: List[object] = [g["params"].get(k, "") for k in varied]
+        n, cells = group_metric_cells(g, metric_names)
+        row.append(n)
+        row.extend(cells)
+        rows.append(row)
+    return headers, rows

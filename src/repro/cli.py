@@ -2,27 +2,26 @@
 
 Usage (after ``pip install -e .``)::
 
-    python -m repro security   --attack lookup-bias --nodes 150 --duration 400
-    python -m repro anonymity  --nodes 8000 --malicious 0.2
-    python -m repro efficiency --nodes 207 --lookups 80
-    python -m repro timing
-    python -m repro ablation
+    python -m repro security   --param n_nodes=150 --param duration=400 --seed 2
+    python -m repro efficiency --param n_nodes=207 --param lookups_per_scheme=80
+    python -m repro timing     --help                 # config fields + defaults
     python -m repro list-kinds                        # kinds, axes, presets
-    python -m repro campaign   --spec campaign.json --jobs 4 --out results/ --resume
-    python -m repro campaign   --spec campaign.json --backend queue --out results/
+    python -m repro campaign   --spec campaign.json --backend queue --out results/ --resume
     python -m repro campaign   --kind scenario --param preset=flash-crowd --out results/
     python -m repro campaign-worker results/          # in other terminals/hosts
     python -m repro campaign-status results/ --watch  # live progress view
     python -m repro lint src/repro                    # determinism/layering checks
 
-Each single-run subcommand builds the corresponding harness from
-:mod:`repro.experiments`, runs it, and prints the regenerated rows/series in
-the same form the benchmarks use.  ``campaign`` fans a whole
-multi-seed / parameter-grid sweep out over an execution backend
-(``--backend serial|pool|queue``) via :mod:`repro.campaign`;
-``campaign-worker`` joins the on-disk job queue of a ``--backend queue``
-campaign from any process or machine sharing the results directory.  The
-grid can come from a JSON spec file or be given inline::
+There is one single-run subcommand per *registered experiment kind* (the
+rows of :mod:`repro.experiments.kinds`, ``scenario``, ``adaptive`` and anything
+added with ``register_experiment``), all of one generated shape: ``repro
+<kind> [--param NAME=VALUE ...] [--seed N]`` sets fields of the kind's config
+dataclass, runs one trial and prints its scalar metrics and series.
+``campaign`` fans a multi-seed / parameter-grid sweep out over an execution
+backend (``--backend serial|pool|queue``); ``campaign-worker`` joins the
+on-disk job queue of a ``--backend queue`` campaign from any process or
+machine sharing the results directory.  The grid can come from a JSON spec
+file or be given inline::
 
     python -m repro campaign --kind security \
         --param n_nodes=150 --param duration=400 \
@@ -37,16 +36,14 @@ written results directory can then be fed to the matching benchmark via
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 import sys
-from typing import Dict, List, Optional
+import time
+from typing import Dict, List, Optional, Tuple
 
-from .experiments.ablation import AblationConfig, AnonymityAblation
-from .experiments.anonymity import AnonymityExperiment, AnonymityExperimentConfig
-from .experiments.efficiency import EfficiencyExperiment, EfficiencyExperimentConfig
 from .experiments.results import format_table
-from .experiments.security import SecurityExperiment, SecurityExperimentConfig
-from .experiments.timing import TimingExperiment, TimingExperimentConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,69 +53,60 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    security = sub.add_parser("security", help="attacker-identification simulation (Figures 3/4/9, Table 2)")
-    security.add_argument("--attack", default="lookup-bias",
-                          choices=["lookup-bias", "fingertable-manipulation", "fingertable-pollution", "selective-dos", "none"])
-    security.add_argument("--nodes", type=int, default=150)
-    security.add_argument("--duration", type=float, default=400.0)
-    security.add_argument("--attack-rate", type=float, default=1.0)
-    security.add_argument("--churn-minutes", type=float, default=60.0)
-    security.add_argument("--seed", type=int, default=0)
-    security.add_argument("--kernel", default="object", choices=["object", "array"],
-                          help="ring-membership backend (array scales to 1e5+ nodes)")
+    from .campaign import available_kinds, get_experiment
 
-    anonymity = sub.add_parser("anonymity", help="H(I)/H(T) estimation (Figures 5/6)")
-    anonymity.add_argument("--nodes", type=int, default=8000)
-    anonymity.add_argument("--malicious", type=float, default=0.2)
-    anonymity.add_argument("--alpha", type=float, default=0.01)
-    anonymity.add_argument("--dummies", type=int, default=6)
-    anonymity.add_argument("--worlds", type=int, default=200)
-    anonymity.add_argument("--seed", type=int, default=0)
-    anonymity.add_argument("--kernel", default="object", choices=["object", "array"],
-                           help="lookup-path backend (array scales to 1e5+ nodes)")
+    # Options that several subcommands share are defined once, as parents.
+    param_option = argparse.ArgumentParser(add_help=False)
+    param_option.add_argument(
+        "--param", action="append", default=[], metavar="NAME=V[,V...]",
+        help="set a config field (repeatable; JSON literal or bare string); one value "
+             "fixes it, several make a campaign grid axis",
+    )
+    queue_options = argparse.ArgumentParser(add_help=False)
+    queue_options.add_argument(
+        "--claim-ttl", type=float, default=300.0,
+        help="queue: seconds before an unfinished claim is presumed orphaned and requeued",
+    )
+    queue_options.add_argument(
+        "--claim-batch", type=int, default=1,
+        help="queue: claim up to N cheap same-grid-cell trials per queue round-trip "
+             "(cells with recorded mean elapsed >= 5 s still claim singly)",
+    )
+    queue_options.add_argument("--quiet", action="store_true", help="suppress per-trial progress lines")
+    queue_options.add_argument(
+        "--profile", action="store_true",
+        help="record engine-phase profiling counters/timers under each trial's "
+             "timing.profile (sets REPRO_PROFILE, which worker processes inherit)",
+    )
 
-    efficiency = sub.add_parser("efficiency", help="latency/bandwidth comparison (Table 3, Figure 7(a))")
-    efficiency.add_argument("--nodes", type=int, default=207)
-    efficiency.add_argument("--lookups", type=int, default=80)
-    efficiency.add_argument("--seed", type=int, default=0)
-    efficiency.add_argument("--kernel", default="object", choices=["object", "array"],
-                            help="ring-membership backend (array scales to 1e5+ nodes)")
+    for kind in available_kinds():
+        adapter = get_experiment(kind)
+        single = sub.add_parser(
+            kind,
+            parents=[param_option],
+            help=adapter.description,
+            description=f"Run one {kind!r} trial: {adapter.description}.",
+            epilog=_config_fields_help(adapter.config_cls),
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        single.add_argument("--seed", type=int, metavar="N", help="shorthand for --param seed=N")
+        single.set_defaults(run=_run_kind)
 
-    load = sub.add_parser("load", help="open-loop sustained-RPS load sweep (latency knee)")
-    load.add_argument("--nodes", type=int, default=120)
-    load.add_argument("--duration", type=float, default=120.0)
-    load.add_argument("--rps", default="10,25,50",
-                      help="comma-separated offered lookup rates (network-wide, lookups/s)")
-    load.add_argument("--workload", default="poisson",
-                      help="arrival process / key distribution (poisson, uniform, zipf, hot-key-storm)")
-    load.add_argument("--churn-minutes", type=float, default=60.0)
-    load.add_argument("--seed", type=int, default=0)
-    load.add_argument("--kernel", default="object", choices=["object", "array"],
-                      help="ring-membership backend (array scales to 1e5+ nodes)")
-
-    timing = sub.add_parser("timing", help="timing-analysis error rate (Table 1)")
-    timing.add_argument("--flows", type=int, default=1200)
-
-    ablation = sub.add_parser("ablation", help="multi-path / dummy-query ablation (Section 4.2)")
-    ablation.add_argument("--nodes", type=int, default=8000)
-    ablation.add_argument("--malicious", type=float, default=0.2)
-    ablation.add_argument("--worlds", type=int, default=150)
-    ablation.add_argument("--kernel", default="object", choices=["object", "array"],
-                          help="lookup-path backend (array scales to 1e5+ nodes)")
-
-    sub.add_parser(
+    list_kinds = sub.add_parser(
         "list-kinds",
         help="list experiment kinds, scenario axes and scenario presets",
         description=(
             "Print every registered experiment kind (with its description), the "
             "scenario axis generators (churn profiles, workload models, adversary "
             "placements) and the built-in scenario presets runnable via "
-            "'repro campaign --kind scenario --param preset=NAME'."
+            "'repro scenario --param preset=NAME'."
         ),
     )
+    list_kinds.set_defaults(run=_run_list_kinds)
 
     campaign = sub.add_parser(
         "campaign",
+        parents=[param_option, queue_options],
         help="multi-seed / parameter-grid campaign over worker processes",
         description=(
             "Expand a campaign spec (experiment kind x parameter grid x seeds) into "
@@ -126,6 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "per-trial JSON plus a mean/std/CI summary to the results directory."
         ),
     )
+    campaign.set_defaults(run=_run_campaign)
     campaign.add_argument("--spec", help="JSON campaign spec file (overrides inline options)")
     campaign.add_argument("--kind", help="experiment kind for an inline campaign")
     campaign.add_argument(
@@ -137,13 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     campaign.add_argument("--name", default="", help="campaign name (default: <kind>-campaign)")
-    campaign.add_argument(
-        "--param",
-        action="append",
-        default=[],
-        metavar="NAME=V[,V...]",
-        help="inline parameter; one value fixes it, several make a grid axis (repeatable)",
-    )
     campaign.add_argument("--seeds", default="0", help="seed list: '0,1,2' or a range '0-7'")
     campaign.add_argument("--jobs", type=int, default=1, help="worker processes (1 = serial)")
     campaign.add_argument(
@@ -156,31 +138,15 @@ def _build_parser() -> argparse.ArgumentParser:
             "cooperates with any number of 'repro campaign-worker' processes"
         ),
     )
-    campaign.add_argument(
-        "--claim-ttl", type=float, default=300.0,
-        help="queue backend: seconds before an unfinished claim is presumed orphaned and requeued",
-    )
-    campaign.add_argument(
-        "--claim-batch", type=int, default=1,
-        help=(
-            "queue backend: claim up to N cheap same-grid-cell trials per queue "
-            "round-trip (cells with recorded mean elapsed >= 5 s still claim singly)"
-        ),
-    )
     campaign.add_argument("--out", default="campaign-results", help="results directory")
     campaign.add_argument("--resume", action="store_true",
                           help="skip trials whose records already exist in --out")
-    campaign.add_argument("--list-kinds", action="store_true",
-                          help="list registered experiment kinds and exit")
     campaign.add_argument("--list-figures", action="store_true",
                           help="list figure adapters (figure -> kind, benchmark, metrics) and exit")
-    campaign.add_argument("--quiet", action="store_true", help="suppress per-trial progress lines")
-    campaign.add_argument("--profile", action="store_true",
-                          help="record engine-phase profiling counters/timers under each "
-                               "trial's timing.profile (sets REPRO_PROFILE for all workers)")
 
     worker = sub.add_parser(
         "campaign-worker",
+        parents=[queue_options],
         help="drain a file-queue campaign's job queue (claim -> execute -> record)",
         description=(
             "Join the shared on-disk job queue of a campaign started with "
@@ -191,28 +157,20 @@ def _build_parser() -> argparse.ArgumentParser:
             "once the queue is drained."
         ),
     )
+    worker.set_defaults(run=_run_campaign_worker)
     worker.add_argument("out_dir", help="the campaign results directory (the producer's --out)")
     worker.add_argument("--worker-id", default="", help="claim owner label (default: <host>-pid<pid>)")
     worker.add_argument("--poll-interval", type=float, default=0.2,
                         help="seconds between queue polls when idle (exponential backoff floor)")
     worker.add_argument("--max-poll-interval", type=float, default=None,
                         help="idle-poll backoff ceiling in seconds (default: max(5, poll interval))")
-    worker.add_argument("--claim-ttl", type=float, default=300.0,
-                        help="seconds before another worker's unfinished claim is presumed orphaned and requeued")
-    worker.add_argument("--claim-batch", type=int, default=1,
-                        help="claim up to N cheap same-grid-cell trials per queue round-trip "
-                             "(cells with recorded mean elapsed >= 5 s still claim singly)")
     worker.add_argument("--max-trials", type=int, default=None,
                         help="exit after executing this many trials (default: until drained)")
     worker.add_argument("--wait-for-queue", type=float, default=30.0,
                         help="seconds to wait for the producer to create the queue before giving up")
-    worker.add_argument("--quiet", action="store_true", help="suppress per-trial progress lines")
     worker.add_argument("--heartbeat-interval", type=float, default=2.0,
                         help="seconds between heartbeat-file rewrites (feeds campaign-status "
                              "and keeps long trials from being presumed orphaned)")
-    worker.add_argument("--profile", action="store_true",
-                        help="record engine-phase profiling counters/timers under each "
-                             "trial's timing.profile (sets REPRO_PROFILE)")
 
     status = sub.add_parser(
         "campaign-status",
@@ -225,6 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "producer + worker fleet."
         ),
     )
+    status.set_defaults(run=_run_campaign_status)
     status.add_argument("out_dir", help="the campaign results directory (the producer's --out)")
     status.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the raw status snapshot as JSON instead of the report")
@@ -245,6 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "Run with --rules for the full catalog and suppression policy."
         ),
     )
+    lint.set_defaults(run=_run_lint)
     lint.add_argument("paths", nargs="*",
                       help="files or directories to lint (default: the installed repro package)")
     lint.add_argument("--json", action="store_true", dest="as_json",
@@ -276,6 +236,43 @@ def _parse_seeds(text: str) -> List[int]:
         )
 
 
+def _config_fields_help(config_cls: type) -> str:
+    """The ``--help`` epilog of a kind: its config's fields and defaults."""
+    lines = [f"{config_cls.__name__} fields (set with --param NAME=VALUE):"]
+    for f in dataclasses.fields(config_cls):
+        if f.default is not dataclasses.MISSING:
+            default = repr(f.default)
+        elif f.default_factory is not dataclasses.MISSING:
+            default = repr(f.default_factory())
+        else:
+            default = "(required)"
+        lines.append(f"  {f.name} = {default}")
+    return "\n".join(lines)
+
+
+def _parse_params(items: List[str], command: str) -> Tuple[Dict[str, object], Dict[str, List[object]]]:
+    """Split ``--param NAME=V[,V...]`` items into (fixed values, grid axes)."""
+    base: Dict[str, object] = {}
+    grid: Dict[str, List[object]] = {}
+    for item in items:
+        if "=" not in item:
+            raise SystemExit(f"repro {command}: malformed --param {item!r} (expected NAME=VALUE[,VALUE...])")
+        name, _, raw = item.partition("=")
+        # A value that parses as JSON in one piece is ONE parameter value —
+        # this is how list-valued config fields are set inline, e.g.
+        # --param max_delays=[0.1,0.2].  Only otherwise does ',' split the
+        # string into a grid axis.
+        try:
+            base[name.strip()] = json.loads(raw)
+        except ValueError:
+            values = [_parse_param_value(tok) for tok in raw.split(",")]
+            if len(values) == 1:
+                base[name.strip()] = values[0]
+            else:
+                grid[name.strip()] = values
+    return base, grid
+
+
 def _inline_spec(args) -> "CampaignSpec":
     """Build a CampaignSpec from --kind/--figure/--param/--seeds options."""
     from .campaign import CampaignSpec, get_figure
@@ -294,26 +291,7 @@ def _inline_spec(args) -> "CampaignSpec":
         kind = adapter.kind
     if not kind:
         raise SystemExit("repro campaign: one of --spec FILE, --kind KIND or --figure FIG is required")
-    base: Dict[str, object] = {}
-    grid: Dict[str, List[object]] = {}
-    for item in args.param:
-        if "=" not in item:
-            raise SystemExit(f"repro campaign: malformed --param {item!r} (expected NAME=VALUE[,VALUE...])")
-        name, _, raw = item.partition("=")
-        # A value that parses as JSON in one piece is ONE parameter value —
-        # this is how list-valued config fields are set inline, e.g.
-        # --param max_delays=[0.1,0.2].  Only otherwise does ',' split the
-        # string into a grid axis.
-        try:
-            base[name.strip()] = json.loads(raw)
-            continue
-        except ValueError:
-            pass
-        values = [_parse_param_value(tok) for tok in raw.split(",")]
-        if len(values) == 1:
-            base[name.strip()] = values[0]
-        else:
-            grid[name.strip()] = values
+    base, grid = _parse_params(args.param, "campaign")
     return CampaignSpec(
         kind=kind,
         name=args.name,
@@ -324,157 +302,61 @@ def _inline_spec(args) -> "CampaignSpec":
     )
 
 
-def _run_security(args) -> int:
-    config = SecurityExperimentConfig(
-        n_nodes=args.nodes,
-        duration=args.duration,
-        attack=args.attack,
-        attack_rate=args.attack_rate,
-        churn_lifetime_minutes=args.churn_minutes,
-        seed=args.seed,
-        sample_interval=max(args.duration / 8.0, 1.0),
-        kernel=args.kernel,
-    )
-    result = SecurityExperiment(config).run()
-    print(f"attack={args.attack} nodes={args.nodes} duration={args.duration:.0f}s")
-    rows = [
-        {"time_s": t, "malicious_fraction": round(v, 4)} for t, v in result.malicious_fraction_series
-    ]
-    print(format_table(["time_s", "malicious_fraction"], [[r["time_s"], r["malicious_fraction"]] for r in rows]))
-    print(
-        f"identified malicious={result.identified_malicious} honest={result.identified_honest} "
-        f"FP={result.false_positive_rate:.4f} FN={result.false_negative_rate:.4f} "
-        f"FA={result.false_alarm_rate:.4f} lookups={result.total_lookups} biased={result.total_biased_lookups}"
-    )
-    return 0
+def _preflight(adapter, params) -> None:
+    """Build one trial's typed config and validate it where the config can."""
+    config = adapter.build_config(params)
+    validate = getattr(config, "validate", None)
+    if callable(validate):
+        validate()
 
 
-def _run_anonymity(args) -> int:
-    config = AnonymityExperimentConfig(
-        n_nodes=args.nodes,
-        fractions_malicious=(args.malicious,),
-        dummy_counts=(args.dummies,),
-        concurrent_lookup_rates=(args.alpha,),
-        n_worlds=args.worlds,
-        seed=args.seed,
-        kernel=args.kernel,
-    )
-    experiment = AnonymityExperiment(config)
-    octopus = experiment.run_octopus()
-    comparison = experiment.run_comparison(alpha=args.alpha)
-    rows = []
-    for p in octopus + comparison:
-        rows.append([p.scheme, p.fraction_malicious, round(p.initiator_entropy, 2), round(p.initiator_leak, 2),
-                     round(p.target_entropy, 2), round(p.target_leak, 2)])
-    print(format_table(["scheme", "f", "H(I)", "leak(I)", "H(T)", "leak(T)"], rows))
-    return 0
+def _run_kind(args) -> int:
+    """``repro <kind>``: one trial of a registered kind, metrics + series out."""
+    from .campaign import get_experiment
 
-
-def _run_efficiency(args) -> int:
-    from .core.config import OctopusConfig
-
-    config = EfficiencyExperimentConfig(
-        n_nodes=args.nodes,
-        lookups_per_scheme=args.lookups,
-        seed=args.seed,
-        octopus=OctopusConfig(expected_network_size=args.nodes),
-        kernel=args.kernel,
-    )
-    result = EfficiencyExperiment(config).run()
-    rows = result.table3_rows()
-    headers = list(rows[0].keys())
-    print(format_table(headers, [[row[h] for h in headers] for row in rows], title="Table 3"))
-    return 0
-
-
-def _run_load(args) -> int:
-    from .experiments.load import LoadConfig, LoadExperiment
-
-    rows = []
-    for rps in (float(part) for part in args.rps.split(",") if part.strip()):
-        config = LoadConfig(
-            n_nodes=args.nodes,
-            duration=args.duration,
-            offered_rps=rps,
-            workload=args.workload,
-            churn_lifetime_minutes=args.churn_minutes,
-            sample_interval=max(args.duration / 8.0, 1.0),
-            seed=args.seed,
-            kernel=args.kernel,
+    kind = args.command
+    params, grid = _parse_params(args.param, kind)
+    if grid:
+        raise SystemExit(
+            f"repro {kind}: --param {sorted(grid)[0]} lists several values; a sweep is "
+            f"'repro campaign --kind {kind} --param ...'"
         )
-        m = LoadExperiment(config).run().scalar_metrics()
-        rows.append([
-            f"{rps:g}",
-            f"{m['offered_rps_measured']:.2f}",
-            f"{m['delivered_rps']:.2f}",
-            f"{m['success_rate']:.4f}",
-            f"{m['latency_p50_s'] * 1000:.1f}",
-            f"{m['latency_p90_s'] * 1000:.1f}",
-            f"{m['latency_p99_s'] * 1000:.1f}",
-            f"{m['inflight_mean']:.1f}",
-        ])
-    print(f"workload={args.workload} nodes={args.nodes} duration={args.duration:.0f}s")
-    print(format_table(
-        ["offered_rps", "measured_rps", "delivered_rps", "success",
-         "p50_ms", "p90_ms", "p99_ms", "inflight"],
-        rows,
-        title="Open-loop load sweep",
-    ))
-    return 0
-
-
-def _run_timing(args) -> int:
-    config = TimingExperimentConfig(max_candidate_flows=args.flows)
-    result = TimingExperiment(config).run()
-    rows = result.table1_rows()
-    headers = list(rows[0].keys())
-    print(format_table(headers, [[row.get(h, "") for h in headers] for row in rows], title="Table 1"))
-    print(f"max residual information leak: {result.max_information_leak():.3f} bit")
-    return 0
-
-
-def _run_ablation(args) -> int:
-    config = AblationConfig(
-        n_nodes=args.nodes, fraction_malicious=args.malicious, n_worlds=args.worlds, kernel=args.kernel
-    )
-    result = AnonymityAblation(config).run()
-    rows = [[p.variant, p.relay_pairs, p.dummy_queries, round(p.target_entropy, 2), round(p.target_leak, 2)]
-            for p in result.points]
-    print(format_table(["variant", "relay_pairs", "dummies", "H(T)", "leak(T)"], rows, title="Section 4.2 ablation"))
+    if args.seed is not None:
+        params["seed"] = args.seed
+    adapter = get_experiment(kind)
+    try:
+        _preflight(adapter, params)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SystemExit(f"repro {kind}: {exc.args[0] if exc.args else exc}")
+    result = adapter.run(params)
+    rows = [[name, f"{value:.6g}"] for name, value in result.scalar_metrics().items()]
+    print(format_table(["metric", "value"], rows, title=kind))
+    for name, pairs in (result.to_dict().get("series") or {}).items():
+        print(format_table(["x", "y"], [[f"{x:g}", f"{y:g}"] for x, y in pairs], title=f"series {name}"))
     return 0
 
 
 def _run_list_kinds(args) -> int:
+    from . import scenarios
     from .campaign import available_kinds, get_experiment
-    from .scenarios import (
-        ATTACKER_STRATEGIES,
-        CHURN_PROFILES,
-        DEFENSE_POLICIES,
-        PLACEMENTS,
-        WORKLOADS,
-        describe_adaptive_presets,
-        describe_presets,
-    )
 
-    print("experiment kinds (repro campaign --kind KIND):")
+    print("experiment kinds (repro KIND --help; sweeps: repro campaign --kind KIND):")
     for kind in available_kinds():
         print(f"  {kind:12s} {get_experiment(kind).description}")
-    for title, registry in (
-        ("scenario churn profiles (--param churn=NAME)", CHURN_PROFILES),
-        ("scenario workload models (--param workload=NAME)", WORKLOADS),
-        ("scenario adversary placements (--param adversary=NAME)", PLACEMENTS),
-        ("adaptive attacker strategies (--kind adaptive --param attacker=NAME)", ATTACKER_STRATEGIES),
-        ("adaptive defense policies (--kind adaptive --param defense=NAME)", DEFENSE_POLICIES),
+    for title, descriptions in (
+        ("scenario churn profiles (--param churn=NAME)", scenarios.CHURN_PROFILES.describe()),
+        ("scenario workload models (--param workload=NAME)", scenarios.WORKLOADS.describe()),
+        ("scenario adversary placements (--param adversary=NAME)", scenarios.PLACEMENTS.describe()),
+        ("adaptive attacker strategies (repro adaptive --param attacker=NAME)",
+         scenarios.ATTACKER_STRATEGIES.describe()),
+        ("adaptive defense policies (repro adaptive --param defense=NAME)",
+         scenarios.DEFENSE_POLICIES.describe()),
+        ("scenario presets (repro scenario --param preset=NAME)", scenarios.describe_presets()),
+        ("adaptive presets (repro adaptive --param preset=NAME)", scenarios.describe_adaptive_presets()),
     ):
         print(f"{title}:")
-        for name, description in registry.describe().items():
+        for name, description in descriptions.items():
             print(f"  {name:18s} {description}")
-    print("scenario presets (repro campaign --kind scenario --param preset=NAME):")
-    for name, description in describe_presets().items():
-        print(f"  {name:18s} {description}")
-    print("adaptive presets (repro campaign --kind adaptive --param preset=NAME):")
-    for name, description in describe_adaptive_presets().items():
-        print(f"  {name:18s} {description}")
     return 0
 
 
@@ -484,17 +366,12 @@ def _run_campaign(args) -> int:
         CampaignSpec,
         FileQueueBackend,
         available_figures,
-        available_kinds,
         get_experiment,
         get_figure,
         run_campaign,
         summary_rows,
     )
 
-    if args.list_kinds:
-        for kind in available_kinds():
-            print(f"{kind:12s} {get_experiment(kind).description}")
-        return 0
     if args.list_figures:
         for figure in available_figures():
             adapter = get_figure(figure)
@@ -517,10 +394,7 @@ def _run_campaign(args) -> int:
         trials = spec.expand()
         adapter = get_experiment(spec.kind)
         for trial in trials:
-            config = adapter.build_config(trial.params)
-            validate = getattr(config, "validate", None)
-            if callable(validate):
-                validate()
+            _preflight(adapter, trial.params)
         if args.jobs < 1:
             raise ValueError("--jobs must be >= 1")
     except (KeyError, TypeError, ValueError) as exc:
@@ -538,9 +412,7 @@ def _run_campaign(args) -> int:
         verb = "ran " if event == "run" else "skip"
         rate = ""
         if event == "run":
-            import time as _time
-
-            now = _time.monotonic()
+            now = time.monotonic()
             if progress_clock["started"] is None:
                 progress_clock["started"] = now
             progress_clock["ran"] += 1
@@ -564,12 +436,6 @@ def _run_campaign(args) -> int:
         )
     if args.claim_batch < 1:
         raise SystemExit("repro campaign: --claim-batch must be >= 1")
-    if args.profile:
-        # Environment, not a parameter: pool and queue worker processes
-        # inherit it, so every trial of the campaign profiles uniformly.
-        import os
-
-        os.environ["REPRO_PROFILE"] = "1"
     if args.backend == "queue":
         if args.claim_ttl <= 0:
             raise SystemExit("repro campaign: --claim-ttl must be positive")
@@ -644,10 +510,6 @@ def _run_campaign_worker(args) -> int:
         raise SystemExit("repro campaign-worker: --claim-batch must be >= 1")
     if args.heartbeat_interval <= 0:
         raise SystemExit("repro campaign-worker: --heartbeat-interval must be positive")
-    if args.profile:
-        import os
-
-        os.environ["REPRO_PROFILE"] = "1"
 
     def progress(event: str, trial_id: str, n_executed: int) -> None:
         if not args.quiet:
@@ -677,8 +539,6 @@ def _run_campaign_worker(args) -> int:
 
 
 def _run_campaign_status(args) -> int:
-    import time
-
     from .campaign import campaign_status, render_status
 
     if args.stale_after <= 0:
@@ -723,22 +583,12 @@ def _run_lint(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "security": _run_security,
-        "anonymity": _run_anonymity,
-        "efficiency": _run_efficiency,
-        "load": _run_load,
-        "timing": _run_timing,
-        "ablation": _run_ablation,
-        "list-kinds": _run_list_kinds,
-        "campaign": _run_campaign,
-        "campaign-worker": _run_campaign_worker,
-        "campaign-status": _run_campaign_status,
-        "lint": _run_lint,
-    }
-    return handlers[args.command](args)
+    args = _build_parser().parse_args(argv)
+    if getattr(args, "profile", False):
+        # Environment, not a parameter: pool and queue worker processes
+        # inherit it, so every trial of the campaign profiles uniformly.
+        os.environ["REPRO_PROFILE"] = "1"
+    return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -8,9 +8,11 @@
 * :mod:`repro.experiments.load` — open-loop sustained-RPS load sweeps
   (offered vs delivered load, latency percentiles, saturation knee).
 
-Every harness also exposes a pickleable module-level ``run_<kind>(config)``
-entry point and ``to_dict()``-able results so :mod:`repro.campaign` can fan
-trials out across worker processes.
+Every harness also exposes a pickleable module-level ``run_<kind>(config,
+**axes)`` entry point and ``to_dict()``-able results so :mod:`repro.campaign`
+can fan trials out across worker processes.  :mod:`repro.experiments.kinds`
+declares each kind once (``BASE_KINDS``); the campaign registry, the scenario
+layer and the CLI subcommands are derived from that table.
 """
 
 from .ablation import AblationConfig, AblationResult, AnonymityAblation, run_ablation
@@ -28,6 +30,7 @@ from .efficiency import (
     SchemeEfficiency,
     run_efficiency,
 )
+from .kinds import BASE_KINDS, ExperimentKind
 from .load import LoadConfig, LoadExperiment, LoadResult, run_load
 from .results import (
     ExperimentRecord,
@@ -55,10 +58,12 @@ __all__ = [
     "AnonymityExperimentConfig",
     "AnonymityExperimentResult",
     "AnonymityPoint",
+    "BASE_KINDS",
     "EfficiencyExperiment",
     "EfficiencyExperimentConfig",
     "EfficiencyExperimentResult",
     "SchemeEfficiency",
+    "ExperimentKind",
     "ExperimentRecord",
     "LoadConfig",
     "LoadExperiment",

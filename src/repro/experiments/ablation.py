@@ -25,7 +25,6 @@ from typing import Dict, List, Optional
 from ..anonymity.observations import AnonymityConfig
 from ..anonymity.ring_model import LightweightRing
 from ..anonymity.target import TargetAnonymityEstimator
-from ..sim.kernel import validate_kernel
 from ..sim.rng import RandomSource
 from .results import jsonify
 
@@ -41,11 +40,6 @@ class AblationConfig:
     relay_pairs_per_lookup: int = 4
     n_worlds: int = 150
     seed: int = 0
-    #: lookup-path backend, "object" or "array" (see repro.sim.kernel).
-    kernel: str = "object"
-
-    def __post_init__(self) -> None:
-        validate_kernel(self.kernel)
 
     def to_dict(self) -> Dict[str, object]:
         return jsonify(asdict(self))
@@ -99,11 +93,11 @@ class AnonymityAblation:
         ("single path, no dummies", False, False),
     )
 
-    def __init__(self, config: Optional[AblationConfig] = None, placement=None) -> None:
+    def __init__(self, config: Optional[AblationConfig] = None, adversary=None) -> None:
         self.config = config or AblationConfig()
         # Scenario-subsystem injection point: optional adversary placement
         # strategy (see LightweightRing), uniform random when None.
-        self.placement = placement
+        self.placement = adversary
 
     def run(self) -> AblationResult:
         cfg = self.config
@@ -112,7 +106,6 @@ class AnonymityAblation:
             fraction_malicious=cfg.fraction_malicious,
             seed=cfg.seed,
             placement=self.placement,
-            kernel=cfg.kernel,
         )
         result = AblationResult(config=cfg)
         for variant, multi_path, with_dummies in self.VARIANTS:
@@ -137,6 +130,7 @@ class AnonymityAblation:
         return result
 
 
-def run_ablation(config: Optional[AblationConfig] = None) -> AblationResult:
-    """Pickleable ``(config) -> result`` entry point for campaign workers."""
-    return AnonymityAblation(config).run()
+def run_ablation(config: Optional[AblationConfig] = None, **axes) -> AblationResult:
+    """Pickleable entry point: ``(config)`` for campaign workers; the harness's
+    scenario axis passes through as a keyword."""
+    return AnonymityAblation(config, **axes).run()

@@ -19,7 +19,6 @@ from ..anonymity.initiator import InitiatorAnonymityEstimator
 from ..anonymity.observations import AnonymityConfig
 from ..anonymity.ring_model import LightweightRing
 from ..anonymity.target import TargetAnonymityEstimator
-from ..sim.kernel import validate_kernel
 from .results import jsonify
 
 
@@ -33,11 +32,6 @@ class AnonymityExperimentConfig:
     concurrent_lookup_rates: Tuple[float, ...] = (0.005, 0.01)
     n_worlds: int = 200
     seed: int = 0
-    #: lookup-path backend, "object" or "array" (see repro.sim.kernel).
-    kernel: str = "object"
-
-    def __post_init__(self) -> None:
-        validate_kernel(self.kernel)
 
     def to_dict(self) -> Dict[str, object]:
         return jsonify(asdict(self))
@@ -108,8 +102,8 @@ class AnonymityExperimentResult:
 class AnonymityExperiment:
     """Runs the full anonymity sweep.
 
-    ``placement`` optionally replaces the uniform-random malicious sample of
-    every ring the sweep builds with a strategy callable (see
+    ``adversary`` optionally replaces the uniform-random malicious sample of
+    every ring the sweep builds with a placement strategy callable (see
     :class:`~repro.anonymity.ring_model.LightweightRing`); it is the scenario
     subsystem's injection point for clustered-eclipse and similar adversary
     placements.
@@ -118,10 +112,10 @@ class AnonymityExperiment:
     def __init__(
         self,
         config: Optional[AnonymityExperimentConfig] = None,
-        placement=None,
+        adversary=None,
     ) -> None:
         self.config = config or AnonymityExperimentConfig()
-        self.placement = placement
+        self.placement = adversary
 
     def _ring(self, fraction_malicious: float) -> LightweightRing:
         return LightweightRing(
@@ -129,7 +123,6 @@ class AnonymityExperiment:
             fraction_malicious=fraction_malicious,
             seed=self.config.seed,
             placement=self.placement,
-            kernel=self.config.kernel,
         )
 
     def run_octopus(self) -> List[AnonymityPoint]:
@@ -190,6 +183,9 @@ class AnonymityExperiment:
         return result
 
 
-def run_anonymity(config: Optional[AnonymityExperimentConfig] = None) -> AnonymityExperimentResult:
-    """Pickleable ``(config) -> result`` entry point for campaign workers."""
-    return AnonymityExperiment(config).run()
+def run_anonymity(
+    config: Optional[AnonymityExperimentConfig] = None, **axes
+) -> AnonymityExperimentResult:
+    """Pickleable entry point: ``(config)`` for campaign workers; the harness's
+    scenario axis passes through as a keyword."""
+    return AnonymityExperiment(config, **axes).run()

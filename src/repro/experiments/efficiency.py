@@ -153,11 +153,12 @@ class EfficiencyExperimentResult:
 class EfficiencyExperiment:
     """Runs the latency measurements and bandwidth estimates for all schemes.
 
-    The two keyword hooks are scenario-subsystem injection points
-    (:mod:`repro.scenarios`): a *workload* model replaces the uniform
-    initiator/key draws of the measured lookups through the closed-loop
-    surface of :class:`repro.sim.workload.WorkloadModel`, and a *placement*
-    strategy replaces the uniform-random malicious sample.  Both default to
+    The two keywords named after scenario axes are scenario-subsystem
+    injection points (:mod:`repro.scenarios`): a ``workload`` model replaces
+    the uniform initiator/key draws of the measured lookups through the
+    closed-loop surface of :class:`repro.sim.workload.WorkloadModel`, and an
+    ``adversary`` placement strategy replaces the uniform-random malicious
+    sample.  Both default to
     ``None`` — the paper's stylized environment — and the default workload
     reproduces the historical draw sequence exactly.
     """
@@ -166,11 +167,11 @@ class EfficiencyExperiment:
         self,
         config: Optional[EfficiencyExperimentConfig] = None,
         workload: Optional[WorkloadModel] = None,
-        placement=None,
+        adversary=None,
     ) -> None:
         self.config = config or EfficiencyExperimentConfig()
         self.workload = workload
-        self.placement = placement
+        self.placement = adversary
 
     # ------------------------------------------------------------------ setup
     def _build_network(self) -> Tuple[OctopusNetwork, KingLatencyModel]:
@@ -370,6 +371,9 @@ class EfficiencyExperiment:
         return result
 
 
-def run_efficiency(config: Optional[EfficiencyExperimentConfig] = None) -> EfficiencyExperimentResult:
-    """Pickleable ``(config) -> result`` entry point for campaign workers."""
-    return EfficiencyExperiment(config).run()
+def run_efficiency(
+    config: Optional[EfficiencyExperimentConfig] = None, **axes
+) -> EfficiencyExperimentResult:
+    """Pickleable entry point: ``(config)`` for campaign workers; the harness's
+    scenario axes pass through as keywords."""
+    return EfficiencyExperiment(config, **axes).run()

@@ -72,48 +72,6 @@ def _build_workload(name: str, params: Dict[str, object]) -> WorkloadModel:
         raise ValueError(exc.args[0]) from exc
 
 
-#: Samples per sealed histogram chunk in the load harness recorders.
-_HISTOGRAM_CHUNK_SAMPLES = 4096
-
-
-class _ChunkedHistogram:
-    """Bounded-chunk sample recorder, merged via :meth:`Histogram.merge`.
-
-    Samples land in fixed-size chunk histograms sealed at ``chunk_samples``;
-    :meth:`merged` concatenates the chunks in recording order, so every
-    statistic (mean, percentiles, CDF) is byte-equal to a single in-memory
-    histogram over the same stream — pinned by the load differential suite.
-    Sealed chunks are exactly the partial summaries a distributed collector
-    would ship: producers keep only the open chunk hot, the merge holds the
-    union once at aggregation time.
-    """
-
-    def __init__(self, name: str, chunk_samples: int = _HISTOGRAM_CHUNK_SAMPLES) -> None:
-        if chunk_samples < 1:
-            raise ValueError("chunk_samples must be positive")
-        self.name = name
-        self.chunk_samples = chunk_samples
-        self._chunks: List[Histogram] = [Histogram(name=f"{name}[0]")]
-
-    def record(self, value: float) -> None:
-        chunk = self._chunks[-1]
-        if chunk.count >= self.chunk_samples:
-            chunk = Histogram(name=f"{self.name}[{len(self._chunks)}]")
-            self._chunks.append(chunk)
-        chunk.record(value)
-
-    @property
-    def count(self) -> int:
-        return sum(chunk.count for chunk in self._chunks)
-
-    @property
-    def n_chunks(self) -> int:
-        return len(self._chunks)
-
-    def merged(self) -> Histogram:
-        return Histogram.merge(self._chunks, name=self.name)
-
-
 @dataclass
 class LoadConfig:
     """Parameters of one sustained-load run at a single offered-RPS level."""
@@ -238,25 +196,25 @@ class LoadResult:
 class LoadExperiment:
     """Runs one sustained-load configuration end to end.
 
-    The keyword hooks are the scenario-subsystem injection points
-    (:mod:`repro.scenarios`): a churn *profile* replaces the exponential
-    session model, a *workload* model replaces the config's named arrival
-    process, and a *placement* strategy replaces the uniform-random
-    malicious sample.
+    The keywords named after the scenario axes are the scenario-subsystem
+    injection points (:mod:`repro.scenarios`): a ``churn`` profile replaces
+    the exponential session model, a ``workload`` model replaces the config's
+    named arrival process, and an ``adversary`` placement strategy replaces
+    the uniform-random malicious sample.
     """
 
     def __init__(
         self,
         config: Optional[LoadConfig] = None,
-        churn_profile: Optional[ChurnProfile] = None,
+        churn: Optional[ChurnProfile] = None,
         workload: Optional[WorkloadModel] = None,
-        placement=None,
+        adversary=None,
     ) -> None:
         self.config = config or LoadConfig()
         self.config.validate()
-        self.churn_profile = churn_profile
+        self.churn_profile = churn
         self.workload = workload
-        self.placement = placement
+        self.placement = adversary
 
     # -------------------------------------------------------------------- run
     def run(self) -> LoadResult:
@@ -301,9 +259,9 @@ class LoadExperiment:
             return delay
 
         # ---------------------------------------------------------- measuring
-        latencies = _ChunkedHistogram("lookup-latency")
-        queue_delays = _ChunkedHistogram("queue-delay")
-        inflight_samples = _ChunkedHistogram("inflight")
+        latency_hist = Histogram(name="lookup-latency")
+        queue_delay_hist = Histogram(name="queue-delay")
+        inflight_hist = Histogram(name="inflight")
         offered = metrics.counter("offered")
         delivered = metrics.counter("delivered")
         succeeded = metrics.counter("succeeded")
@@ -338,8 +296,8 @@ class LoadExperiment:
                 queue_delay = start - engine.now
                 busy_until[owner] = start + service
             total = outcome.latency + queue_delay + service
-            latencies.record(total)
-            queue_delays.record(queue_delay)
+            latency_hist.record(total)
+            queue_delay_hist.record(queue_delay)
             inflight["now"] += 1
             engine.schedule(total, complete, name="load-complete")
 
@@ -380,7 +338,7 @@ class LoadExperiment:
         def sample() -> None:
             backlog = float(inflight["now"])
             result.inflight_series.append((engine.now, backlog))
-            inflight_samples.record(backlog)
+            inflight_hist.record(backlog)
 
         engine.schedule_periodic(cfg.sample_interval, sample, start=0.0)
         engine.run(until=cfg.duration)
@@ -390,11 +348,6 @@ class LoadExperiment:
         result.offered_lookups = int(offered.value)
         result.delivered_lookups = int(delivered.value)
         result.succeeded_lookups = int(succeeded.value)
-        # Merge the sealed chunks back into single histograms; byte-equal to
-        # recording straight into one (Histogram.merge concatenates in order).
-        latency_hist = latencies.merged()
-        queue_delay_hist = queue_delays.merged()
-        inflight_hist = inflight_samples.merged()
         if latency_hist.count:
             result.latency_mean_s = latency_hist.mean()
             result.latency_p50_s = latency_hist.percentile(50.0)
@@ -414,6 +367,7 @@ class LoadExperiment:
         return result
 
 
-def run_load(config: Optional[LoadConfig] = None) -> LoadResult:
-    """Pickleable ``(config) -> result`` entry point for campaign workers."""
-    return LoadExperiment(config).run()
+def run_load(config: Optional[LoadConfig] = None, **axes) -> LoadResult:
+    """Pickleable entry point: ``(config)`` for campaign workers; the harness's
+    scenario axes pass through as keywords."""
+    return LoadExperiment(config, **axes).run()

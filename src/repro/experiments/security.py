@@ -21,7 +21,7 @@ preserve the qualitative behaviour, as documented in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..attacks.adversary import Adversary
@@ -164,10 +164,11 @@ class SecurityExperimentResult:
 class SecurityExperiment:
     """Runs one security-simulation configuration end to end.
 
-    The three keyword hooks are the scenario-subsystem injection points
-    (:mod:`repro.scenarios`): a churn *profile* replaces the exponential
-    session model, a *workload* replaces the uniform periodic lookups, and a
-    *placement* strategy replaces the uniform-random malicious sample.  All
+    The keywords named after the scenario axes are the scenario-subsystem
+    injection points (:mod:`repro.scenarios`): a ``churn`` profile replaces
+    the exponential session model, a ``workload`` replaces the uniform
+    periodic lookups, and an ``adversary`` placement strategy replaces the
+    uniform-random malicious sample.  All
     default to ``None`` — the paper's stylized environment — and injecting
     any of them changes nothing about how the experiment reports results.
     """
@@ -175,16 +176,16 @@ class SecurityExperiment:
     def __init__(
         self,
         config: Optional[SecurityExperimentConfig] = None,
-        churn_profile: Optional[ChurnProfile] = None,
+        churn: Optional[ChurnProfile] = None,
         workload: Optional[WorkloadModel] = None,
-        placement=None,
+        adversary=None,
         controllers: Tuple[Controller, ...] = (),
     ) -> None:
         self.config = config or SecurityExperimentConfig()
         self.config.validate()
-        self.churn_profile = churn_profile
+        self.churn_profile = churn
         self.workload = workload
-        self.placement = placement
+        self.placement = adversary
         #: mid-run attacker/defense controllers (``repro.scenarios.controllers``);
         #: attaching any — even the static no-ops — turns on the per-round
         #: engagement report in the result.
@@ -352,9 +353,12 @@ class SecurityExperiment:
             network.dos_defense.investigate_drop(initiator_id, relays, culprit, now=0.0)
 
 
-def run_security(config: Optional[SecurityExperimentConfig] = None) -> SecurityExperimentResult:
-    """Pickleable ``(config) -> result`` entry point for campaign workers."""
-    return SecurityExperiment(config).run()
+def run_security(
+    config: Optional[SecurityExperimentConfig] = None, **injections
+) -> SecurityExperimentResult:
+    """Pickleable entry point: ``(config)`` for campaign workers; the harness's
+    scenario axes and mid-run ``controllers`` pass through as keywords."""
+    return SecurityExperiment(config, **injections).run()
 
 
 def run_attack_sweep(
@@ -365,20 +369,6 @@ def run_attack_sweep(
     """Run one attack at several attack rates (the two curves of each figure)."""
     results: Dict[float, SecurityExperimentResult] = {}
     for rate in attack_rates:
-        config = base_config or SecurityExperimentConfig()
-        config = SecurityExperimentConfig(
-            n_nodes=config.n_nodes,
-            fraction_malicious=config.fraction_malicious,
-            duration=config.duration,
-            attack=attack,
-            attack_rate=rate,
-            collusion_consistency=config.collusion_consistency,
-            churn_lifetime_minutes=config.churn_lifetime_minutes,
-            seed=config.seed,
-            sample_interval=config.sample_interval,
-            include_lookups=config.include_lookups,
-            octopus=config.octopus,
-            kernel=config.kernel,
-        )
+        config = replace(base_config or SecurityExperimentConfig(), attack=attack, attack_rate=rate)
         results[rate] = SecurityExperiment(config).run()
     return results

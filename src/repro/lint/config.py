@@ -14,7 +14,7 @@ from typing import FrozenSet
 
 #: Modules allowed to read the wall clock (rule D103).  These are exactly the
 #: modules whose *job* is wall-clock observation and whose output lives
-#: outside the determinism-compared view (``aggregate.strip_timing`` drops
+#: outside the determinism-compared view (``streaming.strip_timing`` drops
 #: every ``timing`` block):
 #:
 #: * ``repro.campaign.backends.base`` — per-trial ``timing.elapsed_s`` capture;

@@ -4,8 +4,9 @@
 scenario axis (churn profile, workload model, adversary placement, each with
 its JSON parameter dict, see the sibling modules).  :func:`run_scenario` is
 the pickleable campaign entry point: it resolves the optional preset, builds
-the axis generators, injects them into the base harness through the
-injection points the harnesses expose, and wraps the base result so
+the axis generators, passes the ones the base kind declares
+(:data:`repro.experiments.kinds.BASE_KINDS`) to its ``run`` as keywords, and
+wraps the base result so
 ``scalar_metrics()``/``to_dict()`` keep the campaign contract.
 
 Axes that a base kind cannot express are *reported*, never silently
@@ -13,23 +14,18 @@ dropped: the result's ``ignored_axes`` lists every non-default axis that
 did not apply (the analytical ``timing`` model, for instance, has no ring
 to place an adversary on), so a sweep over kinds stays honest.
 
-Default axes are injected as ``None`` — the harnesses' historical inline
-code paths — so the ``paper-baseline`` scenario reproduces the plain base
-kind's records draw-for-draw.
+Default axes are not passed at all — the harnesses' historical inline code
+paths — so the ``paper-baseline`` scenario reproduces the plain base kind's
+records draw-for-draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..experiments.ablation import AblationConfig, AnonymityAblation
-from ..experiments.anonymity import AnonymityExperiment, AnonymityExperimentConfig
-from ..experiments.efficiency import EfficiencyExperiment, EfficiencyExperimentConfig
-from ..experiments.load import LoadConfig, LoadExperiment
+from ..experiments.kinds import BASE_KINDS
 from ..experiments.results import config_from_dict, jsonify
-from ..experiments.security import SecurityExperiment, SecurityExperimentConfig
-from ..experiments.timing import TimingExperiment, TimingExperimentConfig
 from .adversary import PLACEMENTS
 from .churn_profiles import CHURN_PROFILES, AdversarialChurnWrapper
 from .presets import get_preset
@@ -41,24 +37,6 @@ _AXES = {
     "workload": (WORKLOADS, "uniform"),
     "adversary": (PLACEMENTS, "uniform"),
 }
-
-#: base kind -> (config class, axes the harness can apply).
-_BASE_KINDS: Dict[str, Tuple[type, Tuple[str, ...]]] = {
-    "security": (SecurityExperimentConfig, ("churn", "workload", "adversary")),
-    "anonymity": (AnonymityExperimentConfig, ("adversary",)),
-    "efficiency": (EfficiencyExperimentConfig, ("workload", "adversary")),
-    "load": (LoadConfig, ("churn", "workload", "adversary")),
-    "ablation": (AblationConfig, ("adversary",)),
-    "timing": (TimingExperimentConfig, ()),
-}
-
-#: base kinds that consume the workload axis through the *closed-loop* draw
-#: surface only (no engine): models whose essence is an engine-scheduled
-#: arrival process (``closed_loop = False``) cannot apply there and are
-#: reported ignored.  Any future engine-less kind that grows the workload
-#: axis must join this set.
-_CLOSED_LOOP_KINDS = frozenset({"efficiency"})
-
 
 @dataclass
 class ScenarioConfig:
@@ -117,10 +95,10 @@ class ScenarioConfig:
     # ------------------------------------------------------------- validation
     def validate(self) -> None:
         cfg = self.resolved()
-        if cfg.experiment not in _BASE_KINDS:
+        if cfg.experiment not in BASE_KINDS:
             raise ValueError(
                 f"unknown base experiment {cfg.experiment!r}; "
-                f"choose from {sorted(_BASE_KINDS)}"
+                f"choose from {sorted(BASE_KINDS)}"
             )
         if "seed" in cfg.base:
             raise ValueError("put the seed in the scenario's 'seed' field, not in 'base'")
@@ -136,7 +114,7 @@ class ScenarioConfig:
 
     def build_base_config(self):
         """The typed config of the base experiment (seed folded in)."""
-        config_cls, _axes = _BASE_KINDS[self.experiment]
+        config_cls = BASE_KINDS[self.experiment].config_cls
         return config_from_dict(config_cls, {**self.base, "seed": self.seed})
 
     def to_dict(self) -> Dict[str, object]:
@@ -185,11 +163,12 @@ def run_scenario(config: Optional[ScenarioConfig] = None) -> ScenarioResult:
     """Pickleable ``(config) -> result`` entry point for campaign workers."""
     cfg = (config or ScenarioConfig()).resolved()
     cfg.validate()
-    config_cls, supported = _BASE_KINDS[cfg.experiment]
+    kind = BASE_KINDS[cfg.experiment]
     base_config = cfg.build_base_config()
 
-    # Build only the non-default axes: None keeps the harness's historical
-    # inline path, so paper-baseline scenarios match plain runs exactly.
+    # Build only the non-default axes: an axis left out keeps the harness's
+    # historical inline path, so paper-baseline scenarios match plain runs
+    # exactly.
     generators: Dict[str, object] = {}
     for axis, (registry, default) in _AXES.items():
         name = getattr(cfg, axis)
@@ -197,74 +176,38 @@ def run_scenario(config: Optional[ScenarioConfig] = None) -> ScenarioResult:
         if name != default or params:
             generators[axis] = registry.build(name, params)
 
-    applied = [axis for axis in generators if axis in supported]
-    ignored = [axis for axis in generators if axis not in supported]
-
-    churn_profile = generators.get("churn") if "churn" in applied else None
-    workload = generators.get("workload") if "workload" in applied else None
-    placement = generators.get("adversary") if "adversary" in applied else None
+    applied = {axis: gen for axis, gen in generators.items() if axis in kind.axes}
+    ignored = [axis for axis in generators if axis not in kind.axes]
 
     # The join-leave attack is temporal: its placement asks for adversary
     # nodes to churn faster, which only a churn-capable harness can honour.
     # On a churn-less base kind the placement itself still applies (it is
     # uniform), but the attack's essence does not — report that under
     # ignored_axes rather than letting the record claim an attack ran.
+    placement = applied.get("adversary")
     session_scale = getattr(placement, "churn_session_scale", 0.0)
     if session_scale:
-        if "churn" in supported:
-            churn_profile = AdversarialChurnWrapper(
-                base=churn_profile,
+        if "churn" in kind.axes:
+            applied["churn"] = AdversarialChurnWrapper(
+                base=applied.get("churn"),
                 session_scale=session_scale,
                 downtime_scale=getattr(placement, "churn_downtime_scale", 0.5),
             )
-            if "churn" not in applied:
-                applied.append("churn")
         elif "churn" not in ignored:
             ignored.append("churn")
 
-    # Closed-loop harnesses measure back-to-back lookups with no engine,
-    # consuming the workload through the next_initiator/next_key draw
-    # surface.  A model whose essence is an engine-scheduled arrival process
-    # (open-loop Poisson) cannot apply there — report it ignored rather than
-    # running uniform traffic under the model's name.
-    if (
-        cfg.experiment in _CLOSED_LOOP_KINDS
-        and workload is not None
-        and not getattr(workload, "closed_loop", True)
-    ):
-        applied.remove("workload")
+    # A closed-loop kind measures back-to-back lookups with no engine, so an
+    # engine-scheduled arrival process (open-loop Poisson) cannot apply there
+    # — report it ignored rather than running uniform traffic under the
+    # model's name.
+    if kind.closed_loop and not getattr(applied.get("workload"), "closed_loop", True):
+        del applied["workload"]
         ignored.append("workload")
-        workload = None
-
-    if cfg.experiment == "security":
-        base_result = SecurityExperiment(
-            base_config,
-            churn_profile=churn_profile,
-            workload=workload,
-            placement=placement,
-        ).run()
-    elif cfg.experiment == "anonymity":
-        base_result = AnonymityExperiment(base_config, placement=placement).run()
-    elif cfg.experiment == "efficiency":
-        base_result = EfficiencyExperiment(
-            base_config, workload=workload, placement=placement
-        ).run()
-    elif cfg.experiment == "load":
-        base_result = LoadExperiment(
-            base_config,
-            churn_profile=churn_profile,
-            workload=workload,
-            placement=placement,
-        ).run()
-    elif cfg.experiment == "ablation":
-        base_result = AnonymityAblation(base_config, placement=placement).run()
-    else:  # timing — validated above, no injectable surface
-        base_result = TimingExperiment(base_config).run()
 
     return ScenarioResult(
         config=cfg,
         base_kind=cfg.experiment,
-        applied_axes=applied,
+        applied_axes=list(applied),
         ignored_axes=ignored,
-        base_result=base_result,
+        base_result=kind.run(base_config, **applied),
     )

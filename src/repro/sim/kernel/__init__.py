@@ -4,11 +4,13 @@ The simulator's hot paths (ring membership, successor/finger resolution,
 greedy lookup routing, adversary-fraction metrics) are served by a *kernel*
 selected with ``kernel="object"`` (the historical per-object O(N) scans) or
 ``kernel="array"`` (flat sorted arrays, incremental churn maintenance,
-cached finger resolution).  :class:`~repro.chord.ring.ChordRing`,
-:class:`~repro.anonymity.ring_model.LightweightRing` and
+cached finger resolution).  :class:`~repro.chord.ring.ChordRing` and
 :class:`~repro.core.octopus_node.OctopusNetwork` take the switch and keep
-their APIs unchanged; experiment configs, scenario specs and the CLI plumb
-it through, so any existing campaign runs on either kernel.
+their APIs unchanged; the engine-driven experiment configs (``security``,
+``load``, ``efficiency``) carry it as a ``kernel`` field, so any campaign
+over them runs on either kernel.  The anonymity model's
+:class:`~repro.anonymity.ring_model.LightweightRing` has no switch: its
+lookup paths always run over :class:`FingerMatrix`.
 
 Kernels are pure implementation swaps: they draw no randomness and must be
 observationally identical (``tests/kernel`` enforces byte-identical trial

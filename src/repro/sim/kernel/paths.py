@@ -1,18 +1,17 @@
 """Batched greedy-lookup execution over a flat finger-position matrix.
 
 :class:`~repro.anonymity.ring_model.LightweightRing` computes thousands of
-greedy lookup paths per anonymity estimate; the object implementation pays a
-``normalize`` + bisect + two modular-distance calls for each of up to 40
-finger candidates at every hop.  :class:`FingerMatrix` resolves every node's
+greedy lookup paths per anonymity estimate; re-deriving each of up to 40
+finger candidates at every hop costs a ``normalize`` + bisect + two
+modular-distance calls apiece.  :class:`FingerMatrix` resolves every node's
 finger candidates to ring *positions* once — vectorised with numpy when it
 is available, lazily per row with ``bisect`` otherwise — so the per-hop work
 collapses to integer arithmetic over a precomputed row.
 
-The selection logic in :func:`greedy_path_positions` is a line-for-line
-transliteration of the object loop in ``LightweightRing.query_path_positions``
-(same candidate order, same strict-inequality tie-breaks), which is what
-makes the two kernels return byte-identical paths; ``tests/kernel`` pins
-this differentially and against golden digests.
+The selection logic in :func:`greedy_path_positions` (candidate order,
+strict-inequality tie-breaks) is pinned hop for hop against the per-hop
+reference loop kept in ``tests/kernel/oracle.py``, and against golden
+digests of whole ``anonymity``/``ablation`` trials.
 """
 
 from __future__ import annotations
@@ -84,8 +83,8 @@ class FingerMatrix:
 
         A candidate is admissible when it is not the current node and does
         not overshoot the target clockwise; among admissible candidates the
-        *first* one at the minimal gap wins — exactly the object loop's
-        strict ``gap < best_gap`` update order.
+        *first* one at the minimal gap wins (a strict ``gap < best_gap``
+        update in candidate order).
         """
         n = self.n
         best_pos: Optional[int] = None
@@ -115,10 +114,9 @@ def greedy_path_positions(
 ) -> List[int]:
     """Greedy lookup path over a :class:`FingerMatrix`.
 
-    Mirrors ``LightweightRing.query_path_positions``: per hop, the best
-    finger candidate (via :meth:`FingerMatrix.best_finger`) competes with up
-    to six successor steps, successor steps winning only on strictly smaller
-    gap; the returned positions exclude the initiator.
+    Per hop, the best finger candidate (via :meth:`FingerMatrix.best_finger`)
+    competes with up to six successor steps, successor steps winning only on
+    strictly smaller gap; the returned positions exclude the initiator.
     """
     n = matrix.n
     path: List[int] = []

@@ -133,23 +133,6 @@ class Histogram:
         var = sum((x - mu) ** 2 for x in self._samples) / (len(self._samples) - 1)
         return math.sqrt(var)
 
-    @classmethod
-    def merge(cls, parts: Iterable["Histogram"], name: str = "") -> "Histogram":
-        """Combine per-worker/per-chunk partial histograms into one.
-
-        Samples concatenate in the order the parts are given, so merging
-        chunks cut from one recording stream reproduces the single in-memory
-        histogram *byte-for-byte*: ``mean()`` is the same left-fold float sum
-        over the same sample order, and the percentile/CDF machinery sorts
-        internally so chunk boundaries cannot shift any order statistic.
-        This is the bounded-memory streaming constructor: producers keep only
-        their own chunk alive, the merge holds the union once.
-        """
-        merged = cls(name=name)
-        for part in parts:
-            merged._samples.extend(part._samples)
-        return merged
-
     def cdf(self, n_points: int = 50) -> List[Tuple[float, float]]:
         """Return ``n_points`` (value, cumulative-fraction) pairs.
 

@@ -7,7 +7,13 @@ import math
 
 import pytest
 
-from repro.campaign import aggregate_records, group_key, summarize, summary_rows
+from repro.campaign import (
+    IgnoredAxesAccumulator,
+    MetricAccumulator,
+    aggregate_records,
+    group_key,
+    summary_rows,
+)
 from repro.campaign.spec import CampaignSpec
 from repro.experiments.results import config_from_dict, percentile, percentile_from_cdf
 from repro.experiments.security import SecurityExperimentConfig
@@ -20,6 +26,13 @@ def record(seed, attack_rate, value):
         "params": {"n_nodes": 60, "attack_rate": attack_rate, "seed": seed},
         "metrics": {"final_malicious_fraction": value},
     }
+
+
+def summarize(values):
+    acc = MetricAccumulator()
+    for value in values:
+        acc.update(value)
+    return acc.summary()
 
 
 def test_summarize_known_values():
@@ -69,8 +82,6 @@ def test_aggregate_attaches_spec_metadata():
 
 
 def test_ignored_axes_roll_up_per_base_kind():
-    from repro.campaign import summarize_ignored_axes
-
     def scenario_record(trial_id, base_kind, ignored):
         return {
             "trial_id": trial_id,
@@ -87,7 +98,10 @@ def test_ignored_axes_roll_up_per_base_kind():
         scenario_record("d", "efficiency", []),  # all applied: no contribution
         record(0, 1.0, 0.1),  # non-scenario records contribute nothing
     ]
-    rollup = summarize_ignored_axes(records)
+    acc = IgnoredAxesAccumulator()
+    for rec in records:
+        acc.add_record(rec)
+    rollup = acc.summary()
     assert rollup == {
         "anonymity": {"axes": ["workload"], "n_trials": 1},
         "timing": {"axes": ["churn", "workload"], "n_trials": 2},

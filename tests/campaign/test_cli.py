@@ -84,13 +84,6 @@ def test_malformed_seeds_exit_cleanly():
         main(["campaign", "--kind", "timing", "--seeds", "banana", "--out", "/tmp/never"])
 
 
-def test_campaign_list_kinds(capsys):
-    assert main(["campaign", "--list-kinds"]) == 0
-    out = capsys.readouterr().out
-    for kind in ("security", "anonymity", "efficiency", "timing", "ablation", "scenario"):
-        assert kind in out
-
-
 def test_top_level_list_kinds_prints_kinds_axes_and_presets(capsys):
     """The 'repro list-kinds' subcommand surfaces the whole registry surface:
     experiment kinds with descriptions, scenario axis generators, presets."""

@@ -13,16 +13,18 @@ from __future__ import annotations
 import json
 import math
 import random
+import statistics
 
 import pytest
 
-from repro.campaign.aggregate import aggregate_records, strip_timing, summarize
 from repro.campaign.streaming import (
     PARTIAL_STATE_VERSION,
     CampaignAccumulator,
     GroupAccumulator,
     MetricAccumulator,
+    aggregate_records,
     group_key,
+    strip_timing,
 )
 
 
@@ -124,8 +126,13 @@ def test_streaming_matches_batch_summarize():
     acc = MetricAccumulator()
     for v in values:
         acc.update(v)
-    batch = summarize(values)
-    assert json.dumps(acc.summary(), sort_keys=True) == json.dumps(batch, sort_keys=True)
+    summary = acc.summary()
+    std = statistics.stdev(values)
+    assert summary["n"] == 97
+    assert summary["mean"] == statistics.mean(values)  # both correctly rounded
+    assert summary["std"] == pytest.approx(std, rel=1e-12)
+    assert summary["ci95"] == pytest.approx(1.96 * std / math.sqrt(97), rel=1e-12)
+    assert (summary["min"], summary["max"]) == (min(values), max(values))
 
 
 def test_empty_and_single_sample_edges():

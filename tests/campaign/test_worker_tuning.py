@@ -23,8 +23,8 @@ from repro.campaign import (
     PollBackoff,
     run_campaign,
     run_worker,
+    TimingAccumulator,
     strip_timing,
-    summarize_timing,
 )
 
 
@@ -155,6 +155,13 @@ def test_queue_records_carry_executor_and_summary_rolls_up(timing_spec, tmp_path
     assert workers["w-attrib"]["n"] == len(trials)
     assert workers["w-attrib"]["total_elapsed_s"] > 0
     assert "workers" not in json.dumps(strip_timing(report.summary))
+
+
+def summarize_timing(records):
+    acc = TimingAccumulator()
+    for record in records:
+        acc.add_record(record)
+    return acc.summary()
 
 
 def test_summarize_timing_splits_elapsed_per_worker():

@@ -3,7 +3,8 @@
 The determinism contract of the kernel switch: for every experiment kind
 that owns a ring, running the same config under ``kernel="object"`` and
 ``kernel="array"`` produces byte-identical results once timing and the
-kernel name itself are stripped.  Kernels draw no randomness of their own —
+kernel name itself are stripped (for ``anonymity``/``ablation`` the pair is
+the reference path loop vs the shipped finger matrix, see ``cases.py``).  Kernels draw no randomness of their own —
 all draws come from named :class:`~repro.sim.rng.RandomSource` streams — so
 any divergence here is a semantics bug in one of the kernels, not noise.
 
@@ -21,7 +22,7 @@ import pytest
 from repro.campaign import CampaignSpec, canonical_json, get_experiment, run_campaign, strip_timing
 from repro.sim.kernel import KERNELS, DEFAULT_KERNEL, make_ring_kernel, validate_kernel
 
-from cases import CASES, run_canonical, strip_kernel, with_kernel
+from cases import CASES, KERNEL_SWITCH_KINDS, run_canonical, strip_kernel, with_kernel
 
 
 def test_kernel_registry():
@@ -45,7 +46,7 @@ def test_kernels_byte_identical_per_kind(kind):
 
 def test_kernel_config_round_trips_through_adapter():
     """The kernel name survives params -> typed config -> to_dict()."""
-    for kind in sorted(CASES):
+    for kind in KERNEL_SWITCH_KINDS:
         adapter = get_experiment(kind)
         config = adapter.build_config(with_kernel(kind, "array"))
         dumped = config.to_dict()
@@ -58,7 +59,7 @@ def test_bad_kernel_rejected_at_config_time():
     """Base kinds reject a bad kernel when the typed config is built; the
     scenario and adaptive kinds defer base-config checks to run time (the
     nested base dict is only turned into a typed config then)."""
-    for kind in sorted(CASES):
+    for kind in KERNEL_SWITCH_KINDS:
         adapter = get_experiment(kind)
         params = with_kernel(kind, "no-such-kernel")
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -69,11 +70,12 @@ def test_bad_kernel_rejected_at_config_time():
 
 
 def test_timing_kind_has_no_kernel_switch():
-    """The timing experiment owns no ring; a kernel param must be rejected
-    loudly rather than silently ignored."""
-    adapter = get_experiment("timing")
-    with pytest.raises((TypeError, ValueError)):
-        adapter.build_config({"n_nodes": 40, "kernel": "array"})
+    """The timing experiment owns no ring and the anonymity model has one
+    lookup-path implementation; a kernel param must be rejected loudly
+    rather than silently ignored."""
+    for kind in ("timing", "anonymity", "ablation"):
+        with pytest.raises((TypeError, ValueError)):
+            get_experiment(kind).build_config({"n_nodes": 40, "kernel": "array"})
 
 
 def test_campaign_sweeping_kernel_axis_is_kernel_blind(tmp_path):

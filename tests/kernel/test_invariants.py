@@ -11,7 +11,7 @@ only in kernel) through the same state trajectory, asserting at every step:
 * the array kernel's cached finger rows never go stale across arbitrary
   birth/death invalidation interleavings,
 * the lightweight model's matrix path executor (numpy and pure-python)
-  reproduces the object loop's paths hop-for-hop.
+  reproduces the reference loop's paths (``oracle.py``) hop-for-hop.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from repro.chord.ring import ChordRing, RingConfig
 from repro.sim.kernel import FingerMatrix, greedy_path_positions, make_ring_kernel
 from repro.sim.kernel import array_kernel as array_kernel_module
 from repro.sim.rng import RandomSource
+
+from oracle import loop_path_positions
 
 SPACE_BITS = 12
 SPACE_SIZE = 2 ** SPACE_BITS
@@ -240,31 +242,26 @@ def test_ring_pair_identical_under_churn(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_lightweight_paths_identical(seed):
-    """Matrix-driven greedy paths == the object loop, pair for pair."""
-    rings = {
-        kernel: LightweightRing(n_nodes=200, fraction_malicious=0.2, seed=seed, kernel=kernel)
-        for kernel in ("object", "array")
-    }
-    ring_o, ring_a = rings["object"], rings["array"]
-    assert ring_o.ids == ring_a.ids
+    """Matrix-driven greedy paths == the reference loop, pair for pair."""
+    ring = LightweightRing(n_nodes=200, fraction_malicious=0.2, seed=seed)
 
     rnd = random.Random(9000 + seed)
     pairs = [(rnd.randrange(200), rnd.randrange(200)) for _ in range(40)]
-    object_paths = [ring_o.query_path_positions(i, t) for i, t in pairs]
-    assert object_paths == [ring_a.query_path_positions(i, t) for i, t in pairs]
+    loop_paths = [loop_path_positions(ring, i, t) for i, t in pairs]
+    assert loop_paths == [ring.query_path_positions(i, t) for i, t in pairs]
 
     # The pure-python matrix (no numpy) must agree hop-for-hop too.
     matrix = FingerMatrix(
-        ring_o.ids, ring_o.space.size, ring_o.finger_count, ring_o.space.bits, use_numpy=False
+        ring.ids, ring.space.size, ring.finger_count, ring.space.bits, use_numpy=False
     )
     assert matrix._matrix is None
-    assert object_paths == [greedy_path_positions(matrix, i, t) for i, t in pairs]
+    assert loop_paths == [greedy_path_positions(matrix, i, t) for i, t in pairs]
 
 
 def test_finger_matrix_numpy_and_python_rows_agree():
     numpy = pytest.importorskip("numpy")
     del numpy
-    ring = LightweightRing(n_nodes=150, fraction_malicious=0.2, seed=2, kernel="array")
+    ring = LightweightRing(n_nodes=150, fraction_malicious=0.2, seed=2)
     vec = FingerMatrix(ring.ids, ring.space.size, ring.finger_count, ring.space.bits, use_numpy=True)
     plain = FingerMatrix(ring.ids, ring.space.size, ring.finger_count, ring.space.bits, use_numpy=False)
     for pos in range(0, 150, 7):

@@ -18,6 +18,7 @@ import pytest
 
 from repro.campaign import CampaignSpec, get_experiment, run_campaign
 from repro.cli import main
+from repro.experiments.kinds import BASE_KINDS
 from repro.experiments.security import SecurityExperimentConfig, run_security
 from repro.scenarios import (
     ScenarioConfig,
@@ -37,6 +38,16 @@ TINY_ANONYMITY = {
 }
 TINY_EFFICIENCY = {"n_nodes": 40, "lookups_per_scheme": 4}
 TINY_LOAD = {"n_nodes": 40, "duration": 10.0, "sample_interval": 5.0, "offered_rps": 10.0}
+TINY_BASE = {
+    "security": TINY_SECURITY,
+    "anonymity": TINY_ANONYMITY,
+    "efficiency": TINY_EFFICIENCY,
+    "load": TINY_LOAD,
+    "ablation": {"n_nodes": 300, "n_worlds": 3},
+    "timing": {"max_candidate_flows": 50},
+}
+#: one non-default, closed-loop-capable generator per scenario axis.
+NON_DEFAULT_AXIS = {"churn": "weibull", "workload": "zipf", "adversary": "eclipse"}
 
 
 def tiny_base_for(preset: str) -> dict:
@@ -224,6 +235,20 @@ def test_efficiency_applies_the_workload_axis():
     assert result.applied_axes == ["workload"]
     assert result.ignored_axes == []
     assert result.to_dict()["scenario"]["applied_axes"] == ["workload"]
+
+
+@pytest.mark.parametrize("axis", sorted(NON_DEFAULT_AXIS))
+@pytest.mark.parametrize("kind", sorted(BASE_KINDS))
+def test_each_axis_is_applied_exactly_where_the_kind_declares_it(kind, axis):
+    """The kind table's ``axes`` column is the whole truth: a non-default
+    axis is applied iff the base kind declares it, and reported otherwise."""
+    assert set(TINY_BASE) == set(BASE_KINDS), "add a TINY_BASE row for the new kind"
+    result = run_scenario(
+        ScenarioConfig(experiment=kind, base=dict(TINY_BASE[kind]), **{axis: NON_DEFAULT_AXIS[axis]})
+    )
+    declared = axis in BASE_KINDS[kind].axes
+    assert result.applied_axes == ([axis] if declared else [])
+    assert result.ignored_axes == ([] if declared else [axis])
 
 
 def test_open_loop_poisson_is_ignored_by_the_closed_loop_efficiency_harness():

@@ -13,17 +13,15 @@ Two properties matter and both are pinned here:
 from __future__ import annotations
 
 import json
-import random
 
 import pytest
 
-from repro.campaign.aggregate import strip_timing
+from repro.campaign import strip_timing
 from repro.campaign.backends.base import execute_trial
 from repro.sim import profiling
 from repro.sim.engine import SimulationEngine
 from repro.sim.hooks import HookBus, NodeDeparted
 from repro.sim.kernel import make_ring_kernel
-from repro.sim.metrics import Histogram
 
 
 TOY_TRIAL = {
@@ -170,49 +168,3 @@ def test_profiled_trial_record_is_identical_outside_timing(monkeypatch):
         strip_timing(profiled), sort_keys=True
     )
     assert profiling.active() is None  # nothing leaked past the capture
-
-
-# --------------------------------------------------------- Histogram.merge
-def test_histogram_merge_is_byte_equal_to_single_stream():
-    rng = random.Random(5)
-    samples = [rng.uniform(0.0, 3.0) for _ in range(1000)]
-    single = Histogram("all")
-    for s in samples:
-        single.record(s)
-
-    cuts = sorted(rng.sample(range(1, len(samples)), 6))
-    chunks = []
-    for a, b in zip([0] + cuts, cuts + [len(samples)]):
-        part = Histogram(f"chunk{a}")
-        for s in samples[a:b]:
-            part.record(s)
-        chunks.append(part)
-    merged = Histogram.merge(chunks, name="all")
-
-    assert merged.count == single.count
-    assert merged.samples == single.samples          # same order, same bytes
-    assert merged.mean() == single.mean()            # identical left-fold sum
-    for pct in (0.0, 50.0, 90.0, 99.0, 100.0):
-        assert merged.percentile(pct) == single.percentile(pct)
-    assert merged.cdf(n_points=40) == single.cdf(n_points=40)
-    assert merged.stddev() == single.stddev()
-
-
-def test_load_chunked_histogram_seals_and_merges():
-    from repro.experiments.load import _ChunkedHistogram
-
-    rec = _ChunkedHistogram("lat", chunk_samples=8)
-    values = [float(i) for i in range(30)]
-    for v in values:
-        rec.record(v)
-    assert rec.n_chunks == 4  # 8+8+8+6
-    assert rec.count == 30
-    merged = rec.merged()
-    assert merged.samples == values
-    single = Histogram("lat")
-    for v in values:
-        single.record(v)
-    assert merged.mean() == single.mean()
-    assert merged.percentile(99.0) == single.percentile(99.0)
-    with pytest.raises(ValueError):
-        _ChunkedHistogram("x", chunk_samples=0)
