@@ -85,22 +85,13 @@ class FingertableManipulationBehavior(NodeBehavior):
         if not self.adversary.should_attack("fingertable-manipulation"):
             return honest
         self.adversary.observe(now, "manipulated-fingertable", node=node.node_id, requester=requester)
-        manipulated = RoutingTableSnapshot(
+        return RoutingTableSnapshot(
             owner_id=honest.owner_id,
             fingers=self._manipulated_fingers(honest.fingers),
             successors=honest.successors,
             predecessors=honest.predecessors,
             timestamp=now,
-        )
-        signature = node.keypair.sign(manipulated.payload())
-        return RoutingTableSnapshot(
-            owner_id=manipulated.owner_id,
-            fingers=manipulated.fingers,
-            successors=manipulated.successors,
-            predecessors=manipulated.predecessors,
-            timestamp=manipulated.timestamp,
-            signature=signature,
-        )
+        ).signed_by(node.keypair)
 
     def provide_predecessor_list(
         self, node: ChordNode, requester: Optional[int], purpose: str, now: float
@@ -138,10 +129,6 @@ class FingertableManipulationBehavior(NodeBehavior):
             colluders = [nid for nid in self.adversary.controlled_ids(alive_only=True) if nid != node.node_id]
             colluders.sort(key=lambda nid: space.distance(node.node_id, nid))
             nodes = tuple(colluders[:capacity]) or tuple(node.successor_list.nodes)
-            snapshot = SignedSuccessorList(owner_id=node.node_id, nodes=nodes, timestamp=now)
-            signature = node.keypair.sign(snapshot.payload())
             self.adversary.observe(now, "covering-successor-list", node=node.node_id)
-            return SignedSuccessorList(
-                owner_id=snapshot.owner_id, nodes=snapshot.nodes, timestamp=snapshot.timestamp, signature=signature
-            )
+            return SignedSuccessorList(owner_id=node.node_id, nodes=nodes, timestamp=now).signed_by(node.keypair)
         return node.signed_successor_list(now=now)

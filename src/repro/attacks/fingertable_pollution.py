@@ -55,22 +55,13 @@ class FingertablePollutionBehavior(NodeBehavior):
         manipulated_successors = self._colluding_successors()
         self.adversary.stats.tables_manipulated += 1
         self.adversary.observe(now, "pollution-response", node=node.node_id, requester=requester)
-        polluted = RoutingTableSnapshot(
+        return RoutingTableSnapshot(
             owner_id=honest.owner_id,
             fingers=honest.fingers,
             successors=manipulated_successors,
             predecessors=honest.predecessors,
             timestamp=now,
-        )
-        signature = node.keypair.sign(polluted.payload())
-        return RoutingTableSnapshot(
-            owner_id=polluted.owner_id,
-            fingers=polluted.fingers,
-            successors=polluted.successors,
-            predecessors=polluted.predecessors,
-            timestamp=polluted.timestamp,
-            signature=signature,
-        )
+        ).signed_by(node.keypair)
 
     def provide_predecessor_list(
         self, node: ChordNode, requester: Optional[int], purpose: str, now: float
@@ -92,10 +83,6 @@ class FingertablePollutionBehavior(NodeBehavior):
         """Cover for colluders on anonymous checks with bounded probability."""
         if purpose == "anonymous-lookup" and self.adversary.rng.stream("collusion").random() < self.collusion_consistency:
             nodes = self._colluding_successors()
-            snapshot = SignedSuccessorList(owner_id=node.node_id, nodes=nodes, timestamp=now)
-            signature = node.keypair.sign(snapshot.payload())
             self.adversary.observe(now, "covering-successor-list", node=node.node_id)
-            return SignedSuccessorList(
-                owner_id=snapshot.owner_id, nodes=snapshot.nodes, timestamp=snapshot.timestamp, signature=signature
-            )
+            return SignedSuccessorList(owner_id=node.node_id, nodes=nodes, timestamp=now).signed_by(node.keypair)
         return node.signed_successor_list(now=now)

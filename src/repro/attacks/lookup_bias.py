@@ -66,17 +66,9 @@ class LookupBiasBehavior(NodeBehavior):
         return manipulated or tuple(self.node.successor_list.nodes)
 
     def _sign_successor_list(self, nodes: Tuple[int, ...], now: float, received_from: Optional[int] = None) -> SignedSuccessorList:
-        snapshot = SignedSuccessorList(
-            owner_id=self.node.node_id, nodes=nodes, timestamp=now, received_from=received_from
-        )
-        signature = self.node.keypair.sign(snapshot.payload())
         return SignedSuccessorList(
-            owner_id=snapshot.owner_id,
-            nodes=snapshot.nodes,
-            timestamp=snapshot.timestamp,
-            signature=signature,
-            received_from=received_from,
-        )
+            owner_id=self.node.node_id, nodes=nodes, timestamp=now, received_from=received_from
+        ).signed_by(self.node.keypair)
 
     # ---------------------------------------------------------------- responses
     def provide_routing_table(
@@ -90,22 +82,13 @@ class LookupBiasBehavior(NodeBehavior):
         manipulated = self._manipulated_successors()
         self.adversary.observe(now, "biased-lookup-response", node=node.node_id, requester=requester)
         self.adversary.stats.lookups_biased += 1
-        biased = RoutingTableSnapshot(
+        return RoutingTableSnapshot(
             owner_id=honest.owner_id,
             fingers=honest.fingers,
             successors=manipulated,
             predecessors=honest.predecessors,
             timestamp=now,
-        )
-        signature = node.keypair.sign(biased.payload())
-        return RoutingTableSnapshot(
-            owner_id=biased.owner_id,
-            fingers=biased.fingers,
-            successors=biased.successors,
-            predecessors=biased.predecessors,
-            timestamp=biased.timestamp,
-            signature=signature,
-        )
+        ).signed_by(node.keypair)
 
     def provide_successor_list(
         self, node: ChordNode, requester: Optional[int], purpose: str, now: float

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..crypto.keys import FAST, KeyPair
+from ..sim import profiling
 from .fingertable import FingerTable
 from .idspace import IdSpace
-from .routing_table import RoutingTableSnapshot
-from .successor_list import NeighborList, SignedSuccessorList
+from .routing_table import RoutingTableSnapshot, TableBody
+from .successor_list import NeighborList, SignedSuccessorList, successor_list_prefix
 
 
 def synthetic_ip(node_id: int) -> str:
@@ -127,6 +128,18 @@ class ChordNode:
         #: secret finger surveillance (Section 4.4).
         self.buffered_fingertables: List[RoutingTableSnapshot] = []
         self.fingertable_buffer_capacity = 8
+        # What the node signs, cached per version of the state it is built
+        # from: (finger version, successor version) -> table body, successor
+        # version -> (nodes, payload prefix).  The finger table and neighbor
+        # lists belong to the node for its lifetime; their counters are the
+        # only invalidation.
+        self._table_versions: Optional[Tuple[int, int]] = None
+        self._table_body: Optional[TableBody] = None
+        self._successor_version: Optional[int] = None
+        self._successor_view: Tuple[Tuple[int, ...], bytes] = ((), b"")
+        # Bound once at construction (None when profiling is off); see
+        # repro.sim.profiling.
+        self.profiler = profiling.active()
 
     # ------------------------------------------------------------------ state
     @property
@@ -151,44 +164,36 @@ class ChordNode:
         return out
 
     # ------------------------------------------------------------- snapshots
-    def snapshot(self, now: float = 0.0, include_predecessors: bool = False, sign: bool = True) -> RoutingTableSnapshot:
-        """Produce a signed snapshot of the node's current routing table."""
-        fingers = tuple((e.ideal_id, e.node_id) for e in self.finger_table.entries)
-        snapshot = RoutingTableSnapshot(
-            owner_id=self.node_id,
-            fingers=fingers,
-            successors=tuple(self.successor_list.nodes),
-            predecessors=tuple(self.predecessor_list.nodes) if include_predecessors else (),
-            timestamp=now,
-        )
-        if sign:
-            signature = self.keypair.sign(snapshot.payload())
-            snapshot = RoutingTableSnapshot(
-                owner_id=snapshot.owner_id,
-                fingers=snapshot.fingers,
-                successors=snapshot.successors,
-                predecessors=snapshot.predecessors,
-                timestamp=snapshot.timestamp,
-                signature=signature,
-            )
-        return snapshot
+    def _signed_successors(self) -> Tuple[Tuple[int, ...], bytes]:
+        """The successor list as signed: its tuple and timestamp-free payload prefix."""
+        version = self.successor_list.version
+        if version != self._successor_version:
+            nodes = tuple(self.successor_list.nodes)
+            self._successor_view = (nodes, successor_list_prefix(self.node_id, nodes))
+            self._successor_version = version
+        return self._successor_view
+
+    def snapshot(self, now: float = 0.0) -> RoutingTableSnapshot:
+        """Produce a signed snapshot of the node's current routing table.
+
+        The table body is rebuilt only when the finger table or successor
+        list changed since the last snapshot; the timestamp is the reply time
+        and every snapshot is signed individually.
+        """
+        versions = (self.finger_table.version, self.successor_list.version)
+        if versions != self._table_versions:
+            self._table_body = TableBody(self.node_id, self.finger_table.pairs(), self._signed_successors()[0])
+            self._table_versions = versions
+            if self.profiler is not None:
+                self.profiler.incr("chord.table_body_builds")
+        if self.profiler is not None:
+            self.profiler.incr("chord.table_snapshots")
+        return self._table_body.signed(now, self.keypair)
 
     def signed_successor_list(self, now: float = 0.0, received_from: Optional[int] = None) -> SignedSuccessorList:
         """Produce a signed successor-list snapshot (surveillance evidence)."""
-        snapshot = SignedSuccessorList(
-            owner_id=self.node_id,
-            nodes=tuple(self.successor_list.nodes),
-            timestamp=now,
-            received_from=received_from,
-        )
-        signature = self.keypair.sign(snapshot.payload())
-        return SignedSuccessorList(
-            owner_id=snapshot.owner_id,
-            nodes=snapshot.nodes,
-            timestamp=snapshot.timestamp,
-            signature=signature,
-            received_from=received_from,
-        )
+        nodes, prefix = self._signed_successors()
+        return SignedSuccessorList(self.node_id, nodes, now, None, received_from, prefix).signed_by(self.keypair)
 
     # ------------------------------------------------------ proofs and buffers
     def store_successor_proof(self, proof: SignedSuccessorList) -> None:

@@ -10,10 +10,68 @@ applies to returned tables, Section 4.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import InitVar, dataclass
+from typing import Dict, List, Optional, Tuple
 
 from .idspace import IdSpace
+
+
+class TableBody:
+    """Everything about a routing table that does not depend on the reply time.
+
+    A node's table changes far less often than it is asked for, so the
+    owner keeps one body per version of its routing state
+    (:meth:`repro.chord.node.ChordNode.snapshot`) and every
+    :class:`RoutingTableSnapshot` signed from that version refers to it: the
+    entry tuples, the timestamp-free part of the signed payload, the
+    deduplicated node lists and the bound-check verdicts are computed once
+    per mutation instead of once per query.  A body is built from the fields
+    it describes and never modified afterwards; a table fabricated with other
+    fields (the attack behaviours) gets a body of its own.
+    """
+
+    __slots__ = ("owner_id", "fingers", "successors", "predecessors", "prefix", "finger_nodes", "all_nodes", "verdicts")
+
+    def __init__(
+        self,
+        owner_id: int,
+        fingers: Tuple[Tuple[int, Optional[int]], ...],
+        successors: Tuple[int, ...],
+        predecessors: Tuple[int, ...] = (),
+    ) -> None:
+        self.owner_id = owner_id
+        self.fingers = fingers
+        self.successors = successors
+        self.predecessors = predecessors
+        finger_part = ";".join(f"{ideal}:{node}" for ideal, node in fingers)
+        succ = ",".join(map(str, successors))
+        pred = ",".join(map(str, predecessors))
+        #: the signed payload up to (not including) the timestamp
+        self.prefix = f"rt|{owner_id}|{finger_part}|{succ}|{pred}|".encode()
+        #: distinct finger node ids in index order
+        self.finger_nodes = tuple(dict.fromkeys(node for _, node in fingers if node is not None))
+        #: every referenced node id (fingers, then successors) except the owner
+        self.all_nodes = tuple(
+            node for node in dict.fromkeys(self.finger_nodes + tuple(successors)) if node != owner_id
+        )
+        #: bound-check verdicts per checker parameters, created on first check
+        self.verdicts: Optional[Dict[tuple, "BoundCheckResult"]] = None
+
+    def payload(self, timestamp: float) -> bytes:
+        """The bytes an owner signs when it hands this table out at ``timestamp``."""
+        return self.prefix + b"%.3f" % timestamp
+
+    def signed(self, timestamp: float, keypair) -> "RoutingTableSnapshot":
+        """The snapshot of this body at ``timestamp``, signed with ``keypair``."""
+        return RoutingTableSnapshot(
+            self.owner_id,
+            self.fingers,
+            self.successors,
+            self.predecessors,
+            timestamp,
+            keypair.sign(self.payload(timestamp)),
+            self,
+        )
 
 
 @dataclass(frozen=True)
@@ -32,11 +90,17 @@ class RoutingTableSnapshot:
         Predecessor list in ring order (Octopus-specific; may be empty when a
         peer only asks for the classic table).
     timestamp:
-        Simulated time at which the snapshot was produced.
+        Simulated time at which the snapshot was produced (the reply time).
     signature:
         The owner's signature over :meth:`payload`; ``None`` in contexts where
         signatures are modelled but not computed (fast simulation mode still
         accounts for their bytes).
+    body:
+        The :class:`TableBody` of the four table fields (not itself a field).
+        An owner hands the body of its current state in as ``shared_body``,
+        so every snapshot signed from one version shares it; otherwise — and
+        under ``dataclasses.replace`` — it is built from the fields given, so
+        a snapshot never carries the body of other content.
     """
 
     owner_id: int
@@ -45,33 +109,27 @@ class RoutingTableSnapshot:
     predecessors: Tuple[int, ...] = ()
     timestamp: float = 0.0
     signature: object = None
+    shared_body: InitVar[Optional[TableBody]] = None
+
+    def __post_init__(self, shared_body: Optional[TableBody]) -> None:
+        body = shared_body or TableBody(self.owner_id, self.fingers, self.successors, self.predecessors)
+        object.__setattr__(self, "body", body)
 
     def payload(self) -> bytes:
-        fingers = ";".join(f"{ideal}:{node}" for ideal, node in self.fingers)
-        succ = ",".join(str(n) for n in self.successors)
-        pred = ",".join(str(n) for n in self.predecessors)
-        return f"rt|{self.owner_id}|{fingers}|{succ}|{pred}|{self.timestamp:.3f}".encode()
+        return self.body.payload(self.timestamp)
+
+    def signed_by(self, keypair) -> "RoutingTableSnapshot":
+        """This snapshot carrying ``keypair``'s signature over :meth:`payload`."""
+        return self.body.signed(self.timestamp, keypair)
 
     # ----------------------------------------------------------------- access
     def finger_nodes(self) -> List[int]:
         """Distinct finger node ids in index order."""
-        seen = set()
-        out = []
-        for _, node in self.fingers:
-            if node is not None and node not in seen:
-                seen.add(node)
-                out.append(node)
-        return out
+        return list(self.body.finger_nodes)
 
     def all_nodes(self) -> List[int]:
         """Every node id referenced by this table (fingers + successors)."""
-        seen = set()
-        out = []
-        for node in self.finger_nodes() + list(self.successors):
-            if node not in seen and node != self.owner_id:
-                seen.add(node)
-                out.append(node)
-        return out
+        return list(self.body.all_nodes)
 
     def entry_count(self) -> int:
         """Number of routing items (for bandwidth accounting)."""
@@ -82,7 +140,7 @@ class RoutingTableSnapshot:
         exclude = exclude or set()
         best = None
         best_dist = None
-        for node in self.all_nodes():
+        for node in self.body.all_nodes:
             if node in exclude:
                 continue
             if not space.in_interval(node, self.owner_id, key):
@@ -96,12 +154,16 @@ class RoutingTableSnapshot:
         return self.successors[0] if self.successors else None
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundCheckResult:
-    """Outcome of NISAN-style bound checking on a returned routing table."""
+    """Outcome of NISAN-style bound checking on a returned routing table.
+
+    Immutable: one verdict is remembered on the table's body and handed to
+    every checker with the same parameters.
+    """
 
     passed: bool
-    violations: List[str] = field(default_factory=list)
+    violations: Tuple[str, ...] = ()
 
     def __bool__(self) -> bool:
         return self.passed
@@ -134,7 +196,21 @@ class BoundChecker:
         return self.space.size / self.expected_network_size
 
     def check(self, table: RoutingTableSnapshot) -> BoundCheckResult:
-        """Check a routing table; returns which constraints were violated."""
+        """Check a routing table; returns which constraints were violated.
+
+        The verdict depends only on the table's body and this checker's
+        parameters, so it is computed once per (body, parameters).
+        """
+        body = table.body
+        key = (self.space.bits, self.expected_network_size, self.tolerance_factor)
+        if body.verdicts is None:
+            body.verdicts = {}
+        verdict = body.verdicts.get(key)
+        if verdict is None:
+            verdict = body.verdicts[key] = self._check(body)
+        return verdict
+
+    def _check(self, table: TableBody) -> BoundCheckResult:
         violations: List[str] = []
         max_gap = self.tolerance_factor * self.expected_gap
         for ideal, node in table.fingers:
@@ -152,4 +228,4 @@ class BoundChecker:
             distances = [self.space.distance(table.owner_id, s) for s in table.successors]
             if distances != sorted(distances):
                 violations.append("successor list is not ordered by ring distance")
-        return BoundCheckResult(passed=not violations, violations=violations)
+        return BoundCheckResult(passed=not violations, violations=tuple(violations))

@@ -12,7 +12,7 @@ The lists are ordered by ring distance from the owner and bounded in length
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterable, List, Optional, Sequence
 
 from .idspace import IdSpace
@@ -32,6 +32,10 @@ class NeighborList:
     direction:
         ``+1`` for a successor list (clockwise), ``-1`` for a predecessor list
         (anti-clockwise).
+
+    :attr:`version` counts content changes (a mutator that leaves the entries
+    as they were does not bump it), so what a node signs from the list can be
+    cached per version.
     """
 
     def __init__(self, owner_id: int, space: IdSpace, capacity: int = 6, direction: int = +1) -> None:
@@ -44,6 +48,7 @@ class NeighborList:
         self.capacity = capacity
         self.direction = direction
         self._nodes: List[int] = []
+        self.version = 0
 
     # ---------------------------------------------------------------- helpers
     def _distance(self, node_id: int) -> int:
@@ -71,8 +76,7 @@ class NeighborList:
         return len(self._nodes) >= self.capacity
 
     # ------------------------------------------------------------- mutation
-    def add(self, node_id: int) -> bool:
-        """Insert ``node_id`` keeping order; returns whether the list changed."""
+    def _insert(self, node_id: int) -> bool:
         if node_id == self.owner_id or node_id in self._nodes:
             return False
         self._nodes.append(node_id)
@@ -82,28 +86,41 @@ class NeighborList:
             return dropped != node_id
         return True
 
+    def add(self, node_id: int) -> bool:
+        """Insert ``node_id`` keeping order; returns whether the list changed."""
+        changed = self._insert(node_id)
+        if changed:
+            self.version += 1
+        return changed
+
     def update(self, node_ids: Iterable[int]) -> int:
         """Add many candidates; returns the number actually inserted."""
-        count = 0
-        for nid in node_ids:
-            if self.add(nid):
-                count += 1
+        count = sum(1 for nid in node_ids if self._insert(nid))
+        if count:
+            self.version += 1
         return count
 
     def remove(self, node_id: int) -> bool:
         """Remove ``node_id`` if present."""
         if node_id in self._nodes:
             self._nodes.remove(node_id)
+            self.version += 1
             return True
         return False
 
     def replace_all(self, node_ids: Sequence[int]) -> None:
         """Replace the whole list (used when adopting a peer-provided list)."""
+        previous = self._nodes
         self._nodes = []
-        self.update(node_ids)
+        for nid in node_ids:
+            self._insert(nid)
+        if self._nodes != previous:
+            self.version += 1
 
     def clear(self) -> None:
-        self._nodes = []
+        if self._nodes:
+            self._nodes = []
+            self.version += 1
 
     def copy(self) -> "NeighborList":
         clone = NeighborList(self.owner_id, self.space, self.capacity, self.direction)
@@ -115,6 +132,11 @@ class NeighborList:
         return f"NeighborList({kind}, owner={self.owner_id}, nodes={self._nodes})"
 
 
+def successor_list_prefix(owner_id: int, nodes: Sequence[int]) -> bytes:
+    """A signed successor list's payload up to (not including) the timestamp."""
+    return f"succlist|{owner_id}|{','.join(map(str, nodes))}|".encode()
+
+
 @dataclass(frozen=True)
 class SignedSuccessorList:
     """A successor list snapshot signed by its owner.
@@ -124,6 +146,10 @@ class SignedSuccessorList:
     (Section 4.3).  ``signature`` is produced by the owner's key pair over the
     canonical payload; ``received_from`` records who supplied the list during
     stabilization (used for successor-list-pollution proof chains).
+    ``prefix`` is the timestamp-free part of the payload (not itself a
+    field).  An owner computes it once per version of its list and hands it
+    in as ``shared_prefix``; otherwise — and under ``dataclasses.replace`` —
+    it is computed from the fields given.
     """
 
     owner_id: int
@@ -131,10 +157,20 @@ class SignedSuccessorList:
     timestamp: float
     signature: object = None
     received_from: Optional[int] = None
+    shared_prefix: InitVar[Optional[bytes]] = None
+
+    def __post_init__(self, shared_prefix: Optional[bytes]) -> None:
+        prefix = shared_prefix or successor_list_prefix(self.owner_id, self.nodes)
+        object.__setattr__(self, "prefix", prefix)
 
     def payload(self) -> bytes:
-        body = ",".join(str(n) for n in self.nodes)
-        return f"succlist|{self.owner_id}|{body}|{self.timestamp:.3f}".encode()
+        return self.prefix + b"%.3f" % self.timestamp
+
+    def signed_by(self, keypair) -> "SignedSuccessorList":
+        """This list carrying ``keypair``'s signature over :meth:`payload`."""
+        return SignedSuccessorList(
+            self.owner_id, self.nodes, self.timestamp, keypair.sign(self.payload()), self.received_from, self.prefix
+        )
 
     def contains(self, node_id: int) -> bool:
         return node_id in self.nodes

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 # A 1536-bit MODP group (RFC 3526 group 5).  q = (p - 1) / 2 is prime, and we
@@ -76,6 +77,11 @@ class PublicKey:
 
     def to_bytes(self) -> bytes:
         return f"{self.mode}:{self.value}".encode()
+
+    @cached_property
+    def mac_key(self) -> bytes:
+        """The HMAC key of fast mode (``value`` as bytes), computed once per key."""
+        return _int_bytes(self.value)
 
 
 @dataclass(frozen=True)
@@ -132,9 +138,7 @@ class KeyPair:
         if not isinstance(message, (bytes, bytearray)):
             raise TypeError("message must be bytes")
         if self.mode == FAST:
-            tag = hmac.new(
-                _int_bytes(self.public_key.value), bytes(message), hashlib.sha256
-            ).digest()
+            tag = hmac.digest(self.public_key.mac_key, message, "sha256")
             return Signature(c=0, s=int.from_bytes(tag, "big"), mode=FAST)
         # Deterministic nonce (RFC-6979 style): k = H(secret, message) mod q.
         k = _hash_to_int(b"nonce", _int_bytes(self._secret), bytes(message)) % (_MODP_Q - 1) + 1
@@ -158,8 +162,12 @@ def verify(public_key: PublicKey, message: bytes, signature: Signature) -> bool:
     if signature.mode != public_key.mode:
         return False
     if public_key.mode == FAST:
-        tag = hmac.new(_int_bytes(public_key.value), bytes(message), hashlib.sha256).digest()
-        return hmac.compare_digest(_int_bytes(signature.s), tag.lstrip(b"\x00") or b"\x00")
+        tag = hmac.digest(public_key.mac_key, message, "sha256")
+        try:
+            claimed = signature.s.to_bytes(len(tag), "big")
+        except OverflowError:
+            return False
+        return hmac.compare_digest(claimed, tag)
     # Schnorr verification: r' = g^s * y^(-c); accept iff H(r', m, pk) == c.
     try:
         y_inv_c = pow(pow(public_key.value, signature.c, _MODP_P), _MODP_P - 2, _MODP_P)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.chord.idspace import IdSpace
@@ -10,6 +13,22 @@ from repro.core.config import OctopusConfig
 from repro.core.octopus_node import OctopusNetwork
 from repro.crypto.ca import CertificateAuthority
 from repro.sim.rng import RandomSource
+
+
+@pytest.fixture(scope="session")
+def table_oracle():
+    """``tests/chord/oracle.py``: the uncached routing-table derivations.
+
+    Test directories share one import namespace and ``tests/kernel`` has an
+    ``oracle`` module of its own, so this one is loaded by path under a
+    distinct name.
+    """
+    spec = importlib.util.spec_from_file_location(
+        "chord_table_oracle", Path(__file__).parent / "chord" / "oracle.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

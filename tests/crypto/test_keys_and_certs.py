@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import hmac
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +79,30 @@ class TestFastSignatures:
     def test_roundtrip_property(self, message):
         kp = KeyPair(seed=7, mode=FAST)
         assert verify(kp.public_key, message, kp.sign(message))
+
+    @given(st.integers(min_value=0, max_value=2**40), st.binary(min_size=0, max_size=500))
+    @settings(max_examples=100, deadline=None)
+    def test_tag_is_hmac_sha256_keyed_on_the_public_value(self, seed, message):
+        """The one-shot digest is bit for bit the tag ``hmac.new(...).digest()`` gave."""
+        kp = KeyPair(seed=seed, mode=FAST)
+        value = kp.public_key.value
+        key = value.to_bytes(max(1, (value.bit_length() + 7) // 8), "big")
+        tag = hmac.new(key, message, hashlib.sha256).digest()
+        sig = kp.sign(message)
+        assert (sig.c, sig.s, sig.mode) == (0, int.from_bytes(tag, "big"), FAST)
+        assert kp.sign(bytearray(message)) == sig
+        assert verify(kp.public_key, message, sig)
+        assert verify(kp.public_key, bytearray(message), sig)
+        # verification accepts exactly the tag: not a neighbour, not an over-long integer
+        assert not verify(kp.public_key, message, Signature(c=0, s=sig.s ^ 1, mode=FAST))
+        assert not verify(kp.public_key, message, Signature(c=0, s=sig.s + (1 << 256), mode=FAST))
+        assert not verify(kp.public_key, message, Signature(c=0, s=-sig.s - 1, mode=FAST))
+
+    def test_non_bytes_message_rejected(self):
+        kp = KeyPair(seed=5, mode=FAST)
+        with pytest.raises(TypeError):
+            kp.sign("not-bytes")  # type: ignore[arg-type]
+        assert not verify(kp.public_key, "not-bytes", kp.sign(b"not-bytes"))  # type: ignore[arg-type]
 
 
 class TestCertificates:

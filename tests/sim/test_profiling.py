@@ -18,6 +18,10 @@ import pytest
 
 from repro.campaign import strip_timing
 from repro.campaign.backends.base import execute_trial
+from repro.chord.idspace import IdSpace
+from repro.chord.node import ChordNode
+from repro.chord.ring import ChordRing, RingConfig
+from repro.chord.stabilization import Stabilizer
 from repro.sim import profiling
 from repro.sim.engine import SimulationEngine
 from repro.sim.hooks import HookBus, NodeDeparted
@@ -143,7 +147,31 @@ def test_object_kernel_counts_finger_resolves():
     assert prof.counters["kernel.finger_resolves"] == 2
 
 
+def test_nodes_count_table_snapshots_and_body_builds():
+    """The hit ratio of the per-version table body: no build on a static ring
+    once every node has answered, builds again after churn rewrites tables."""
+    with profiling.capture(force=True) as prof:
+        ring = ChordRing.build(RingConfig(n_nodes=30, fraction_malicious=0.0, seed=3))
+        nodes = ring.alive_nodes()
+        for node in nodes:
+            node.snapshot(now=1.0)
+        assert prof.counters["chord.table_body_builds"] == len(nodes)
+        for _ in range(3):
+            for node in nodes:
+                node.snapshot(now=2.0)
+        assert prof.counters["chord.table_body_builds"] == len(nodes)
+        assert prof.counters["chord.table_snapshots"] == 4 * len(nodes)
+
+        ring.mark_dead(nodes[0].node_id)
+        Stabilizer(ring).run_global_round(now=3.0)
+        for node in ring.alive_nodes():
+            node.snapshot(now=3.0)
+    rebuilt = prof.counters["chord.table_body_builds"] - len(nodes)
+    assert 0 < rebuilt < len(nodes), "only the departed node's neighbours changed"
+
+
 def test_disabled_components_bind_no_profiler():
+    assert ChordNode(1, IdSpace(bits=16)).profiler is None
     assert SimulationEngine().profiler is None
     assert HookBus().profiler is None
     assert make_ring_kernel("object", 8).profiler is None
