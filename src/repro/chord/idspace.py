@@ -24,18 +24,18 @@ SIMULATION_BITS = 32
 
 @dataclass(frozen=True)
 class IdSpace:
-    """A ``2**bits`` circular identifier space."""
+    """A ``2**bits`` circular identifier space.
+
+    ``size``, the number of identifiers, is computed once per space: an
+    attribute, not a field, so equality, hashing and ``replace`` see ``bits``.
+    """
 
     bits: int = SIMULATION_BITS
 
     def __post_init__(self) -> None:
         if self.bits < 3 or self.bits > 512:
             raise ValueError("bits must be in [3, 512]")
-
-    @property
-    def size(self) -> int:
-        """Number of identifiers in the space (``2**bits``)."""
-        return 1 << self.bits
+        object.__setattr__(self, "size", 1 << self.bits)
 
     def contains(self, ident: int) -> bool:
         """Whether ``ident`` is a valid identifier."""
@@ -70,20 +70,14 @@ class IdSpace:
         (minus the endpoints unless they are inclusive), matching Chord's use
         of intervals during stabilization with a single known node.
         """
-        ident = self.normalize(ident)
-        start = self.normalize(start)
-        end = self.normalize(end)
-        if start == end:
-            if ident == start:
-                return inclusive_start or inclusive_end
-            return True
-        d_end = self.distance(start, end)
-        d_ident = self.distance(start, ident)
-        if ident == start:
-            return inclusive_start
-        if ident == end:
+        size = self.size
+        d_end = (end - start) % size
+        d_ident = (ident - start) % size
+        if d_ident == 0:  # ident is start
+            return inclusive_start or (d_end == 0 and inclusive_end)
+        if d_ident == d_end:  # ident is end
             return inclusive_end
-        return 0 < d_ident < d_end
+        return d_end == 0 or d_ident < d_end
 
     def ideal_finger(self, node_id: int, index: int) -> int:
         """The ideal identifier of finger ``index`` (0-based): ``node + 2**index``."""

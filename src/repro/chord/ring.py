@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..crypto.ca import CertificateAuthority
 from ..crypto.keys import FAST
-from ..sim.kernel import make_ring_kernel, validate_kernel
+from ..sim.kernel import DEFAULT_KERNEL, make_ring_kernel
 from ..sim.rng import RandomSource
 from .idspace import IdSpace
 from .node import ChordNode
@@ -30,9 +30,9 @@ class RingConfig:
     12 fingers, 6 successors, 6 predecessors, 20% malicious nodes.
 
     ``kernel`` selects the membership-state backend (see
-    :mod:`repro.sim.kernel`): ``"object"`` keeps the historical O(N)-scan
-    semantics, ``"array"`` maintains flat sorted arrays incrementally for
-    10^5+-node simulations.  Both are observationally identical.
+    :mod:`repro.sim.kernel`): ``"array"``, the default, maintains flat sorted
+    arrays incrementally (ground truth is a bisect or a cached list at any
+    size); ``"object"`` is the O(N)-scan reference.  Observationally identical.
     """
 
     n_nodes: int = 1000
@@ -43,7 +43,7 @@ class RingConfig:
     id_bits: int = 32
     key_mode: str = FAST
     seed: int = 0
-    kernel: str = "object"
+    kernel: str = DEFAULT_KERNEL
 
 
 class ChordRing:
@@ -57,7 +57,6 @@ class ChordRing:
         self._sorted_ids: List[int] = []
         self.malicious_ids: Set[int] = set()
         self.removed_ids: Set[int] = set()
-        validate_kernel(self.config.kernel)
         self.kernel = make_ring_kernel(self.config.kernel, space_size=space.size)
 
     # ------------------------------------------------------------ construction
@@ -125,48 +124,44 @@ class ChordRing:
     def rebuild_routing_state(self, node_ids: Optional[Iterable[int]] = None) -> None:
         """(Re)initialise routing state of the given nodes from ground truth.
 
-        A full rebuild (``node_ids=None``, ring construction) fills finger
-        tables directly from the alive view; targeted rebuilds (churn
-        rejoins) go through the kernel's ``resolve_fingers``, which the
-        array kernel caches per owner and invalidates on churn.
+        A full rebuild (``node_ids=None``, ring construction) is one pass over
+        the sorted alive ids: a node's position is its loop index, its fingers
+        are filled from the alive view, its successors and predecessors are
+        slices of the doubled id list.  Targeted rebuilds (churn rejoins) find
+        each node by bisect and go through the kernel's ``resolve_fingers``,
+        which the array kernel caches per owner and invalidates on churn.
         """
         alive_sorted = self.kernel.alive_ids_view()
-        if not alive_sorted:
+        n = len(alive_sorted)
+        if not n:
             return
-        full_rebuild = node_ids is None
-        targets = list(self.nodes) if full_rebuild else node_ids
-        for node_id in targets:
+        if node_ids is None:
+            doubled = alive_sorted + alive_sorted
+            for pos, node_id in enumerate(alive_sorted):
+                node = self.nodes[node_id]
+                node.finger_table.fill_from(alive_sorted)
+                successors, predecessors = node.successor_list, node.predecessor_list
+                successors.replace_all(doubled[pos + 1 : pos + 1 + min(successors.capacity, n - 1)])
+                before = n + pos - 1  # the same position in the second copy, minus one
+                predecessors.replace_all(doubled[before : before - min(predecessors.capacity, n - 1) : -1])
+            return
+        for node_id in node_ids:
             node = self.nodes.get(node_id)
             if node is None or not node.alive:
                 continue
-            if full_rebuild:
-                node.finger_table.fill_from(alive_sorted)
-            else:
-                node.finger_table.fill_targets(
-                    self.kernel.resolve_fingers(node_id, node.finger_table.ideal_ids())
-                )
+            ideals = node.finger_table.ideal_ids()
+            node.finger_table.fill_targets(self.kernel.resolve_fingers(node_id, ideals))
             node.successor_list.replace_all(self._neighbors(node_id, alive_sorted, +1, node.successor_list.capacity))
             node.predecessor_list.replace_all(self._neighbors(node_id, alive_sorted, -1, node.predecessor_list.capacity))
 
     def _neighbors(self, node_id: int, alive_sorted: Sequence[int], direction: int, count: int) -> List[int]:
-        if node_id not in self.nodes:
+        """Up to ``count`` alive ids after (``+1``) or before (``-1``) ``node_id``, nearest first."""
+        n = len(alive_sorted)
+        if node_id not in self.nodes or n <= 1:
             return []
         pos = bisect.bisect_left(alive_sorted, node_id)
-        out: List[int] = []
-        n = len(alive_sorted)
-        if n <= 1:
-            return out
-        for step in range(1, count + 1):
-            if direction > 0:
-                j = (pos + step) % n
-            else:
-                j = (pos - step) % n
-            candidate = alive_sorted[j]
-            if candidate == node_id:
-                break
-            if candidate not in out:
-                out.append(candidate)
-        return out
+        others = n - 1 if pos < n and alive_sorted[pos] == node_id else n  # not the node itself
+        return [alive_sorted[(pos + direction * step) % n] for step in range(1, min(count, others) + 1)]
 
     # --------------------------------------------------------------- accessors
     def node(self, node_id: int) -> ChordNode:

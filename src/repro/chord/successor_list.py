@@ -12,6 +12,7 @@ The lists are ordered by ring distance from the owner and bounded in length
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import InitVar, dataclass
 from typing import Iterable, List, Optional, Sequence
 
@@ -52,9 +53,8 @@ class NeighborList:
 
     # ---------------------------------------------------------------- helpers
     def _distance(self, node_id: int) -> int:
-        if self.direction > 0:
-            return self.space.distance(self.owner_id, node_id)
-        return self.space.distance(node_id, self.owner_id)
+        """Ring distance from the owner in the list's direction (``direction`` is +-1)."""
+        return (node_id - self.owner_id) * self.direction % self.space.size
 
     # ----------------------------------------------------------------- access
     @property
@@ -77,13 +77,15 @@ class NeighborList:
 
     # ------------------------------------------------------------- mutation
     def _insert(self, node_id: int) -> bool:
-        if node_id == self.owner_id or node_id in self._nodes:
+        nodes = self._nodes
+        if node_id == self.owner_id or node_id in nodes:
             return False
-        self._nodes.append(node_id)
-        self._nodes.sort(key=self._distance)
-        if len(self._nodes) > self.capacity:
-            dropped = self._nodes.pop()
-            return dropped != node_id
+        # After any entry at the same distance, as a stable sort would put it.
+        pos = bisect.bisect_right([self._distance(nid) for nid in nodes], self._distance(node_id))
+        if pos >= self.capacity:
+            return False
+        nodes.insert(pos, node_id)
+        del nodes[self.capacity:]
         return True
 
     def add(self, node_id: int) -> bool:
@@ -110,11 +112,13 @@ class NeighborList:
 
     def replace_all(self, node_ids: Sequence[int]) -> None:
         """Replace the whole list (used when adopting a peer-provided list)."""
-        previous = self._nodes
-        self._nodes = []
-        for nid in node_ids:
-            self._insert(nid)
-        if self._nodes != previous:
+        # The ``capacity`` closest distinct non-owner ids, ties in order of
+        # first appearance: what inserting one id at a time would leave.
+        distinct = [nid for nid in dict.fromkeys(node_ids) if nid != self.owner_id]
+        distinct.sort(key=self._distance)
+        del distinct[self.capacity:]
+        if distinct != self._nodes:
+            self._nodes = distinct
             self.version += 1
 
     def clear(self) -> None:

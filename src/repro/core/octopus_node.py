@@ -28,6 +28,7 @@ from ..crypto.ca import CertificateAuthority
 from ..crypto.keys import FAST
 from ..sim.engine import SimulationEngine
 from ..sim.hooks import HookBus, NodeCompromised
+from ..sim.kernel import DEFAULT_KERNEL
 from ..sim.latency import LatencyModel
 from ..sim.rng import RandomSource
 from .anonymous_lookup import AnonymousLookupProtocol, OctopusLookupResult
@@ -111,7 +112,7 @@ class OctopusNetwork:
         key_mode: str = FAST,
         latency_model: Optional[LatencyModel] = None,
         placement=None,
-        kernel: str = "object",
+        kernel: str = DEFAULT_KERNEL,
     ) -> "OctopusNetwork":
         """Build a complete Octopus network with ``n_nodes`` peers.
 
@@ -119,8 +120,8 @@ class OctopusNetwork:
         default, routing-state sizes from the configuration.  ``placement``
         optionally replaces the uniform-random malicious sample with a
         strategy callable (see :meth:`repro.chord.ring.ChordRing.build`);
-        ``kernel`` selects the ring-membership backend
-        (:mod:`repro.sim.kernel` — ``"object"`` or ``"array"``).
+        ``kernel`` selects the ring-membership backend (:mod:`repro.sim.kernel`
+        — the sorted-array kernel by default, ``"object"`` for the reference).
         """
         config = (config or OctopusConfig()).scaled_for(n_nodes)
         rng = RandomSource(seed)

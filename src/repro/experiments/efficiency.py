@@ -31,7 +31,7 @@ from ..baselines.halo import HaloLookupProtocol
 from ..core.config import OctopusConfig
 from ..core.octopus_node import OctopusNetwork
 from ..sim.bandwidth import MessageSizeModel
-from ..sim.kernel import validate_kernel
+from ..sim.kernel import DEFAULT_KERNEL, validate_kernel
 from ..sim.latency import KingLatencyModel
 from ..sim.metrics import Histogram
 from ..sim.rng import RandomSource
@@ -62,8 +62,8 @@ class EfficiencyExperimentConfig:
     processing_delay_mean: float = 0.020
     slow_node_probability: float = 0.03
     slow_node_delay_range: Tuple[float, float] = (0.5, 2.0)
-    #: ring-membership backend, "object" or "array" (see repro.sim.kernel).
-    kernel: str = "object"
+    #: ring-membership backend (see repro.sim.kernel).
+    kernel: str = DEFAULT_KERNEL
 
     def __post_init__(self) -> None:
         # Sequence fields normalize to tuples on construction: campaign specs

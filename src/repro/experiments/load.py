@@ -50,7 +50,7 @@ from ..core.config import OctopusConfig
 from ..core.octopus_node import OctopusNetwork
 from ..sim.churn import ChurnConfig, ChurnProcess, ChurnProfile
 from ..sim.engine import SimulationEngine
-from ..sim.kernel import validate_kernel
+from ..sim.kernel import DEFAULT_KERNEL, validate_kernel
 from ..sim.latency import KingLatencyModel
 from ..sim.metrics import Histogram, MetricsRegistry
 from ..sim.rng import RandomSource
@@ -96,8 +96,8 @@ class LoadConfig:
     slow_node_probability: float = 0.03
     slow_node_delay_range: Tuple[float, float] = (0.5, 2.0)
     octopus: OctopusConfig = field(default_factory=OctopusConfig)
-    #: ring-membership backend, "object" or "array" (see repro.sim.kernel).
-    kernel: str = "object"
+    #: ring-membership backend (see repro.sim.kernel).
+    kernel: str = DEFAULT_KERNEL
 
     def __post_init__(self) -> None:
         # Tuple-normalize sequence fields so configs rebuilt from JSON

@@ -34,7 +34,7 @@ from ..core.octopus_node import OctopusNetwork
 from ..sim.churn import ChurnConfig, ChurnProcess, ChurnProfile
 from ..sim.control import ControlContext, Controller, EngagementRecorder
 from ..sim.engine import SimulationEngine
-from ..sim.kernel import validate_kernel
+from ..sim.kernel import DEFAULT_KERNEL, validate_kernel
 from ..sim.metrics import MetricsRegistry
 from ..sim.rng import RandomSource
 from ..sim.workload import WorkloadModel
@@ -69,8 +69,8 @@ class SecurityExperimentConfig:
     sample_interval: float = 50.0
     include_lookups: bool = True
     octopus: OctopusConfig = field(default_factory=OctopusConfig)
-    #: ring-membership backend, "object" or "array" (see repro.sim.kernel).
-    kernel: str = "object"
+    #: ring-membership backend (see repro.sim.kernel).
+    kernel: str = DEFAULT_KERNEL
 
     def __post_init__(self) -> None:
         validate_kernel(self.kernel)

@@ -1,10 +1,11 @@
 """``repro.sim.kernel`` — pluggable ring-representation kernels.
 
 The simulator's hot paths (ring membership, successor/finger resolution,
-greedy lookup routing, adversary-fraction metrics) are served by a *kernel*
-selected with ``kernel="object"`` (the historical per-object O(N) scans) or
+greedy lookup routing, adversary-fraction metrics) are served by a *kernel*:
 ``kernel="array"`` (flat sorted arrays, incremental churn maintenance,
-cached finger resolution).  :class:`~repro.chord.ring.ChordRing` and
+cached finger resolution), the default, or ``kernel="object"`` (the
+historical per-object O(N) scans), the reference it is verified against.
+:class:`~repro.chord.ring.ChordRing` and
 :class:`~repro.core.octopus_node.OctopusNetwork` take the switch and keep
 their APIs unchanged; the engine-driven experiment configs (``security``,
 ``load``, ``efficiency``) carry it as a ``kernel`` field, so any campaign
@@ -30,7 +31,8 @@ KERNELS = {
     ArrayRingKernel.name: ArrayRingKernel,
 }
 
-DEFAULT_KERNEL = ObjectRingKernel.name
+#: The one place the default is written: every ``kernel=`` default reads it.
+DEFAULT_KERNEL = ArrayRingKernel.name
 
 __all__ = [
     "ArrayRingKernel",

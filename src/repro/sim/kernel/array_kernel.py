@@ -185,12 +185,12 @@ class ArrayRingKernel(RingKernel):
     def resolve_fingers(self, owner_id: int, ideals: Sequence[int]) -> List[Optional[int]]:
         key = tuple(ideals)
         cached = self._finger_rows.get(owner_id)
-        if cached is not None and self._row_ideals.get(owner_id) == key:
-            if self.profiler is not None:
-                self.profiler.incr("kernel.finger_cache_hits")
-            return list(cached)
+        hit = cached is not None and self._row_ideals.get(owner_id) == key
         if self.profiler is not None:
-            self.profiler.incr("kernel.finger_cache_misses")
+            self.profiler.incr("kernel.finger_resolves")
+            self.profiler.incr("kernel.finger_cache_hits" if hit else "kernel.finger_cache_misses")
+        if hit:
+            return list(cached)
         if cached is not None:
             self._invalidate_row(owner_id)
 

@@ -9,13 +9,13 @@ talks to :class:`~repro.chord.ring.ChordRing`, which delegates here.
 
 Two implementations exist:
 
+* :class:`~repro.sim.kernel.array_kernel.ArrayRingKernel`, the default — flat
+  sorted arrays with incremental maintenance: O(log N) membership updates, O(1)
+  counters for the fraction metrics, bisect successor resolution and a
+  finger-resolution cache with churn-driven row invalidation.
 * :class:`~repro.sim.kernel.object_kernel.ObjectRingKernel` — the historical
   semantics: every query is an O(N) scan, exactly as the per-node object
   code always computed it.  This is the reference kernel.
-* :class:`~repro.sim.kernel.array_kernel.ArrayRingKernel` — flat sorted
-  arrays with incremental maintenance: O(log N) membership updates, O(1)
-  counters for the fraction metrics, bisect successor resolution and a
-  finger-resolution cache with churn-driven row invalidation.
 
 Both kernels are pure functions of the same state: for any sequence of
 ``load``/``set_alive``/``set_removed`` calls they must return identical
@@ -111,7 +111,9 @@ class RingKernel(ABC):
         """First alive id at or after each ideal (with wraparound).
 
         The array kernel caches rows per owner and invalidates exactly the
-        rows a churn event can change; the object kernel recomputes.
+        rows a churn event can change; the object kernel recomputes.  Every
+        call counts one ``kernel.finger_resolves``; a caching kernel adds a
+        ``kernel.finger_cache_hits`` or ``_misses`` (resolves = hits + misses).
         """
 
 

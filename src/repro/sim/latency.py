@@ -18,9 +18,10 @@ Latencies returned by the model are **one-way** delays (RTT / 2).
 from __future__ import annotations
 
 import math
+import random
 from typing import Dict, Optional, Tuple
 
-from .rng import RandomSource
+from .rng import RandomSource, derive_seed
 
 #: Mean RTT of the King dataset reported by the paper (seconds).
 KING_MEAN_RTT = 0.182
@@ -130,7 +131,8 @@ class KingLatencyModel(LatencyModel):
         return (src, dst) if src <= dst else (dst, src)
 
     def _draw_rtt(self, key: Tuple[int, int]) -> float:
-        stream = self._rng_source.stream(f"pair:{key[0]}:{key[1]}")
+        # Not a registered stream: that would outlive the draw, one per pair.
+        stream = random.Random(derive_seed(self.seed, f"pair:{key[0]}:{key[1]}"))
         if stream.random() < self.long_path_fraction:
             rtt = stream.lognormvariate(math.log(self._long_median), self._long_sigma)
         else:

@@ -15,11 +15,15 @@ differ *only* in the config's kernel field.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.campaign import CampaignSpec, canonical_json, get_experiment, run_campaign, strip_timing
+from repro.chord.ring import ChordRing, RingConfig
+from repro.core.octopus_node import OctopusNetwork
+from repro.experiments.kinds import BASE_KINDS
 from repro.sim.kernel import KERNELS, DEFAULT_KERNEL, make_ring_kernel, validate_kernel
 
 from cases import CASES, KERNEL_SWITCH_KINDS, run_canonical, strip_kernel, with_kernel
@@ -27,7 +31,7 @@ from cases import CASES, KERNEL_SWITCH_KINDS, run_canonical, strip_kernel, with_
 
 def test_kernel_registry():
     assert set(KERNELS) == {"object", "array"}
-    assert DEFAULT_KERNEL == "object"
+    assert DEFAULT_KERNEL == "array"
     for name, cls in KERNELS.items():
         assert cls.name == name
         kern = make_ring_kernel(name, space_size=2**16)
@@ -36,6 +40,26 @@ def test_kernel_registry():
         validate_kernel("hypercube")
     with pytest.raises(ValueError, match="unknown kernel"):
         make_ring_kernel("hypercube", space_size=2**16)
+
+
+def test_default_kernel_is_written_once():
+    """Every config with a ``kernel`` field reads ``DEFAULT_KERNEL``, and a
+    default-built ring serves its alive view without rescanning."""
+    with_field = [
+        row.config_cls
+        for row in BASE_KINDS.values()
+        if "kernel" in {f.name for f in dataclasses.fields(row.config_cls)}
+    ]
+    assert {cls.__name__ for cls in with_field} == {
+        "SecurityExperimentConfig", "LoadConfig", "EfficiencyExperimentConfig",
+    }
+    for cls in with_field:
+        assert cls().kernel == DEFAULT_KERNEL
+    assert RingConfig().kernel == DEFAULT_KERNEL
+
+    for ring in (ChordRing.build(RingConfig(n_nodes=20)), OctopusNetwork.create(n_nodes=20).ring):
+        assert ring.kernel.name == DEFAULT_KERNEL
+        assert ring.kernel.alive_ids_view() is ring.kernel.alive_ids_view()
 
 
 @pytest.mark.parametrize("kind", sorted(CASES))

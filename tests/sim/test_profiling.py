@@ -134,13 +134,18 @@ def test_array_kernel_counts_finger_cache_hits_and_misses():
         kernel.resolve_fingers(1, ideals)   # cold: miss
         kernel.resolve_fingers(1, ideals)   # cached row: hit
         kernel.resolve_fingers(1, [3, 7])   # ideals changed: miss again
-    assert prof.counters["kernel.finger_cache_misses"] == 2
+        kernel.set_alive(9, False)          # row 1 resolves to 9: invalidated
+        kernel.resolve_fingers(1, [3, 7])   # miss
+    assert prof.counters["kernel.finger_cache_misses"] == 3
     assert prof.counters["kernel.finger_cache_hits"] == 1
+    assert prof.counters["kernel.finger_resolves"] == 4, "resolves == hits + misses"
 
 
-def test_object_kernel_counts_finger_resolves():
+@pytest.mark.parametrize("kernel_name", ["object", "array"])
+def test_kernels_count_finger_resolves(kernel_name):
+    """One per call on either kernel, whether or not a cache answered it."""
     with profiling.capture(force=True) as prof:
-        kernel = make_ring_kernel("object", 128)
+        kernel = make_ring_kernel(kernel_name, 128)
         kernel.load([1, 5, 9], malicious_ids=[])
         kernel.resolve_fingers(1, [2])
         kernel.resolve_fingers(1, [2])

@@ -86,6 +86,36 @@ class TestKingLatencyModel:
         b = KingLatencyModel(seed=7)
         assert a.base_rtt(1, 2) == b.base_rtt(1, 2)
 
+    def test_pair_draws_are_not_retained_as_streams(self):
+        """The RTT cache is the only per-pair state and ``cache_limit`` bounds
+        it: a pair's generator is dropped after its one draw, never registered."""
+        model = KingLatencyModel(seed=0, cache_limit=100)
+        streams_before = len(model._rng_source._streams)
+        for a in range(100):
+            for b in range(100, 200):
+                model.base_rtt(a, b)
+        assert len(model._rng_source._streams) == streams_before
+        assert len(model._cache) == 100
+        # a pair the full cache could not keep is drawn again, to the same value
+        assert (50, 150) not in model._cache
+        fresh = KingLatencyModel(seed=0).base_rtt(50, 150)
+        assert model.base_rtt(50, 150) == model.base_rtt(150, 50) == fresh
+
+    def test_pinned_pair_rtts(self):
+        """Seed-0 values from before pairs stopped registering streams."""
+        model = KingLatencyModel(seed=0)
+        pinned = {
+            (1, 2): 0.06925778887668645,
+            (0, 4294967295): 0.09194743947996703,
+            (17, 4000): 0.09779207959239644,
+            (123456, 654321): 0.19248614694101684,
+            (3, 4): 0.08282963898971857,
+            (7, 7): 0.0,
+        }
+        for (a, b), rtt in pinned.items():
+            assert model.base_rtt(a, b) == rtt
+            assert model.base_rtt(b, a) == rtt
+
     def test_different_pairs_heterogeneous(self):
         model = KingLatencyModel(seed=3)
         rtts = {model.base_rtt(i, i + 1000) for i in range(50)}
