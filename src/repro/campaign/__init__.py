@@ -12,9 +12,9 @@ parameter-grid campaigns:
 * :mod:`repro.campaign.scheduling` — longest-expected-first dispatch from
   per-grid-cell elapsed history;
 * :mod:`repro.campaign.streaming` — mean/std/CI summaries per grid cell:
-  the mergeable accumulators behind both the batch aggregation and the
-  queue workers' partial-summary commits;
-* :mod:`repro.campaign.telemetry` — worker heartbeats and partial-summary
+  the exact record-at-a-time accumulators every backend's summary is folded
+  through, from yielded records or from the queue workers' partial logs;
+* :mod:`repro.campaign.telemetry` — worker heartbeats and partial-log
   writers (the files ``repro campaign-status`` reads);
 * :mod:`repro.campaign.status` — the read-only live campaign status view;
 * :mod:`repro.campaign.persistence` — the JSON results-directory layout,

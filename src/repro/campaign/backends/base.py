@@ -83,11 +83,11 @@ class Backend(ABC):
     #: only applies timing-aware scheduling when it does.
     reorders: bool = True
 
-    #: whether this backend's workers commit per-worker partial summaries
-    #: (``queue/partials/``) as they execute.  When True the runner builds
-    #: ``summary.json`` by merging those partials
-    #: (:func:`repro.campaign.streaming.merge_partial_summaries`) instead of
-    #: streaming records through its own accumulator.
+    #: whether this backend's workers log each record they execute to a
+    #: per-worker partial log (``queue/partials/``).  When True the runner
+    #: leaves the records this backend yields out of its own accumulator and
+    #: folds the logs at finalize
+    #: (:func:`repro.campaign.streaming.merge_partial_summaries`).
     commits_partials: bool = False
 
     def prepare(self, store: CampaignStore) -> None:

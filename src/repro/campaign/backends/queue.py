@@ -129,45 +129,11 @@ def claim_and_execute_next(
     """Claim the first claimable pending job and return ``(record, ran)``.
 
     ``record`` is ``None`` when every pending job was claimed by someone else
-    first (or the queue is empty).  Jobs whose record already exists —
-    enqueued twice across crashed runs, or re-executed after a claim steal —
-    are not re-run: their claim is cleared and the existing record returned
-    with ``ran=False``, so callers can account executions honestly.
-
-    ``telemetry`` (optional) is notified around each claim and execution so
-    the worker's heartbeat names the in-flight trial and its partial summary
-    accumulates each record it physically executed.
+    first (or the queue is empty); see :func:`claim_and_execute_batch`, of
+    which this is the ``batch_size=1`` case.
     """
-    for path in store.list_pending():
-        job = store.claim_job(path, worker_id)
-        if job is None:
-            continue  # lost the rename race; try the next job
-        if telemetry is not None:
-            telemetry.note_claim()
-        trial_id = str(job["trial_id"])
-        record = store.load_trial(trial_id)
-        ran = False
-        if record is None:
-            if telemetry is not None:
-                telemetry.trial_started(trial_id)
-            try:
-                record = execute_trial(
-                    {"trial_id": trial_id, "kind": job["kind"], "params": job["params"]},
-                    worker=worker_id,
-                )
-                store.write_trial(record)
-            except BaseException:
-                # Covers the record write too (ENOSPC, mount errors): put the
-                # job straight back so recovery (--resume, or another worker)
-                # doesn't have to wait out the claim TTL first.
-                store.requeue_claim(trial_id)
-                raise
-            ran = True
-        store.complete_job(trial_id)
-        if telemetry is not None:
-            telemetry.trial_finished(record, ran)
-        return record, ran
-    return None, False
+    batch = claim_and_execute_batch(store, worker_id, telemetry=telemetry)
+    return batch[0] if batch else (None, False)
 
 
 def expensive_cost_keys(
@@ -200,41 +166,32 @@ def claim_and_execute_batch(
     grid cell — seeds differ), so a batch is a run of cheap look-alike trials
     and never mixes cells with different costs.  Anchors whose cost key is in
     ``expensive_keys`` claim singly.  Returns ``[(record, ran), ...]`` in
-    execution order (empty when nothing was claimable).  A failing trial
-    requeues every not-yet-executed claim of the batch — already-written
-    records are kept — then re-raises, so nothing is lost to a mid-batch
-    crash beyond the claim-TTL wait ``claim_and_execute_next`` already risks.
-    """
-    if batch_size <= 1:
-        record, ran = claim_and_execute_next(store, worker_id, telemetry)
-        return [] if record is None else [(record, ran)]
+    execution order (empty when nothing was claimable).  Jobs whose record
+    already exists — enqueued twice across crashed runs, or re-executed after
+    a claim steal — are not re-run: their claim is cleared and the existing
+    record returned with ``ran=False``, so callers can account executions
+    honestly.  A failing trial requeues every not-yet-executed claim of the
+    batch — already-written records are kept — then re-raises, so nothing is
+    lost to a mid-batch crash beyond the claim-TTL wait a single claim
+    already risks.
 
-    claimed: list = []
-    anchor_key: Optional[str] = None
-    for path in store.list_pending():
-        if not claimed:
-            job = store.claim_job(path, worker_id)
-            if job is None:
-                continue  # lost the rename race; try the next job
-            if telemetry is not None:
-                telemetry.note_claim()
-            claimed.append(job)
-            anchor_key = cost_key(str(job["kind"]), job["params"])
-            if anchor_key in expensive_keys:
-                break  # expensive cells claim singly
-            continue
-        if len(claimed) >= batch_size:
-            break
-        peeked = store.peek_job(path)
-        if peeked is None:  # claimed away (or unreadable); leave it
-            continue
-        if cost_key(str(peeked["kind"]), peeked["params"]) != anchor_key:
-            continue  # different cell: stays claimable for other workers
-        job = store.claim_job(path, worker_id)
-        if job is not None:
-            if telemetry is not None:
-                telemetry.note_claim()
-            claimed.append(job)
+    Claims walk the store's cached pending listing
+    (:meth:`~repro.campaign.persistence.CampaignStore.claim_next`), so a
+    drain costs one directory listing, not one per call.  ``telemetry``
+    (optional) is notified around the claim and each execution so the
+    worker's heartbeat names the in-flight trial and its partial log gains a
+    line for each record it physically executed.
+    """
+    anchor = store.claim_next(worker_id)
+    if anchor is None:
+        return []
+    claimed = [anchor]
+    if batch_size > 1:
+        anchor_key = cost_key(str(anchor["kind"]), anchor["params"])
+        if anchor_key not in expensive_keys:  # expensive cells claim singly
+            claimed += store.claim_siblings(worker_id, anchor_key, batch_size - 1)
+    if telemetry is not None:
+        telemetry.note_claim()
 
     results: list = []
     for index, job in enumerate(claimed):
@@ -251,6 +208,9 @@ def claim_and_execute_batch(
                 )
                 store.write_trial(record)
             except BaseException:
+                # Covers the record write too (ENOSPC, mount errors): put the
+                # jobs straight back so recovery (--resume, or another worker)
+                # doesn't have to wait out the claim TTL first.
                 for unexecuted in claimed[index:]:
                     store.requeue_claim(str(unexecuted["trial_id"]))
                 raise
@@ -266,9 +226,9 @@ class FileQueueBackend(Backend):
     """Run trials through the shared on-disk job queue, participating in it."""
 
     name = "queue"
-    # The producer and every worker commit per-worker partial summaries; the
-    # runner assembles summary.json by merging them (plus a targeted top-up)
-    # instead of re-reading all trial records.
+    # The producer and every worker log each record they execute to a
+    # per-worker partial log; the runner folds summary.json from those (plus a
+    # targeted top-up) instead of folding the records this backend yields.
     commits_partials = True
 
     def __init__(
@@ -309,12 +269,12 @@ class FileQueueBackend(Backend):
         # since-edited spec (e.g. a failing trial requeued before its grid
         # cell was removed) must not keep getting claimed and executed.
         store.purge_foreign_jobs({t.trial_id for t in trials})
-        # Fresh run, fresh telemetry: partial summaries and heartbeats left by
-        # a previous run of this directory describe records the loop below is
-        # about to discard — merging them into this run's summary would
+        # Fresh run, fresh telemetry: partial logs and heartbeats left by a
+        # previous run of this directory describe records the loop below is
+        # about to discard — folding them into this run's summary would
         # resurrect stale results.  (Workers already attached re-write their
-        # heartbeat within one interval, and their partials only ever name
-        # records executed *after* this point.)
+        # heartbeat within one interval, and what they append from here on
+        # names only records executed *after* this point.)
         store.clear_partials()
         store.clear_heartbeats()
         # The runner decided these trials must run (no record, or a run
@@ -324,12 +284,16 @@ class FileQueueBackend(Backend):
         # written by a live worker running current code and is fresh by
         # definition, so the worst race outcome is a redundant (and
         # determinism-tolerated) re-execution — never a lost trial.
+        recorded = store.recorded_trial_ids()
         for trial in trials:
-            store.discard_trial(trial.trial_id)
+            if trial.trial_id in recorded:
+                store.discard_trial(trial.trial_id)
         queued = store.queued_trial_ids()  # one snapshot, not a scan per trial
         for order, trial in enumerate(trials):
             store.enqueue_trial(order, trial.to_dict(), known_queued=queued)
         store.mark_enqueue_complete(len(trials))
+        if not trials:
+            return  # queue reconciled, nothing to run: no heartbeat, no thread
 
         # Batch membership is advisory (cheap cells claim together); the
         # records themselves are untouched, so serial == pool == queue holds
@@ -342,10 +306,10 @@ class FileQueueBackend(Backend):
         wanted = [t.trial_id for t in trials]
         outstanding = set(wanted)
         # The producer is a queue participant like any other: its heartbeat
-        # and partial summary cover the trials it executes locally.  Records
-        # harvested from other workers are NOT folded into its partial — they
-        # belong to the executing worker's partial (or, if that worker died
-        # unflushed, to the runner's targeted top-up).
+        # and partial log cover the trials it executes locally.  Records
+        # harvested from other workers are NOT logged by it — they are in the
+        # executing worker's log (or, if that worker died before its append,
+        # left to the runner's targeted top-up).
         telemetry = WorkerTelemetry(
             store, self.worker_id, heartbeat_interval_s=self.heartbeat_interval_s
         ).start()
@@ -366,7 +330,7 @@ class FileQueueBackend(Backend):
                 # One directory listing bounds the cost per poll; only names that
                 # actually appeared are opened and parsed.
                 harvested = False
-                present = {p.stem for p in store.trials_dir.glob("*.json")}
+                present = store.recorded_trial_ids()
                 for trial_id in wanted:
                     if trial_id not in outstanding or trial_id not in present:
                         continue
@@ -385,7 +349,7 @@ class FileQueueBackend(Backend):
                     time.sleep(self.poll_interval_s)
         finally:
             # Runs on normal completion, mid-drain exceptions, and generator
-            # close alike: flush the partial, downgrade the heartbeat.
+            # close alike: downgrade the heartbeat.
             telemetry.close()
 
 
@@ -436,8 +400,8 @@ def run_worker(
     While the loop runs, the worker's telemetry is live: a heartbeat file
     under ``queue/heartbeats/`` (rewritten every ``heartbeat_interval_s``
     seconds, keeping long trials from being presumed dead and feeding
-    ``repro campaign-status``) and a partial summary under ``queue/partials/``
-    committed after every executed record (merged into ``summary.json`` by
+    ``repro campaign-status``) and a partial log under ``queue/partials/``
+    that gains one line per executed record (folded into ``summary.json`` by
     the producer).
     """
     store = CampaignStore(out_dir)

@@ -19,10 +19,11 @@
                                     # couple of seconds by each worker's
                                     # heartbeat thread (repro.campaign.telemetry)
         partials/
-          <worker_id>.json          # that worker's mergeable partial summary
-                                    # (repro.campaign.streaming state), committed
-                                    # as records land; summary.json is produced
-                                    # by merging these
+          <worker_id>.jsonl         # that worker's append-only log: one JSON
+                                    # line per record it executed, appended
+                                    # right after the record landed; a queue
+                                    # campaign's summary.json is folded from
+                                    # these (repro.campaign.streaming)
 
 Trial files are written atomically (tmp file + ``os.replace``) so a killed
 run never leaves a half-written record; resume support treats only files
@@ -32,6 +33,21 @@ re-runs.  Because trial ids are content-addressed hashes of the trial
 parameters (see ``spec.py``), a record on disk is valid exactly as long as
 the spec still expands to that trial — edited parameters yield new ids and
 re-run automatically.
+
+A partial-log line (``streaming.partial_entry``) is the record minus its
+``detail`` block — trial id, kind, params, metrics, timing, plus a
+``detail.scenario.{base_kind, ignored_axes}`` stub when the trial ignored
+scenario axes: exactly what the summary accumulators read.  Appending needs
+no tmp + rename because nothing ever depends on a line having landed: the
+record is written first, so a line that is missing, torn by a kill
+mid-append, or glued to such a torn tail simply fails to parse and its trial
+is read back from ``trials/`` instead.  That is also why a log costs one
+small write per record where the state file it replaces cost a rewrite of
+everything the worker had done so far.
+
+``spec.json``, ``summary.json`` and ``trials/*.json`` are what people read
+and diff, and are written indented; the files only programs read (jobs,
+claims, heartbeats, the enqueue marker, log lines) are compact.
 
 Each record also carries a ``timing`` block (``{"elapsed_s": ...}``, written
 by the runner) with the trial's wall-clock cost.  It is informational only:
@@ -44,11 +60,14 @@ one campaign with no coordinator: ``os.rename`` of a pending job file into
 ``claims/`` is the atomic claim primitive (exactly one renamer succeeds; the
 loser gets ``FileNotFoundError`` and moves on).  Pending filenames embed the
 producer's dispatch order (zero-padded), so a plain sorted directory listing
-is the schedule.  Claim files carry ``claimed_at``/``worker`` metadata; a
-claim older than the TTL whose trial has no record is presumed orphaned by a
-dead worker and is renamed back into ``pending/`` — and because trials are
-deterministic functions of their parameters, the worst case of a *slow* (not
-dead) worker losing its claim is two workers writing byte-identical records.
+is the schedule — one a worker takes once and walks across many claims
+(``claim_next``): an entry gone stale in the meantime just loses its rename
+like any other lost race.  Claim files carry ``claimed_at``/``worker``
+metadata; a claim older than the TTL whose trial has no record is presumed
+orphaned by a dead worker and is renamed back into ``pending/`` — and because
+trials are deterministic functions of their parameters, the worst case of a
+*slow* (not dead) worker losing its claim is two workers writing
+byte-identical records.
 """
 
 from __future__ import annotations
@@ -59,9 +78,9 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from .spec import CampaignSpec
+from .spec import CampaignSpec, cost_key
 
 
 def sanitize_worker_id(worker_id: str) -> str:
@@ -69,12 +88,39 @@ def sanitize_worker_id(worker_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", str(worker_id)) or "worker"
 
 
-def _write_json_atomic(path: Path, data: object) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
+def _write_json_atomic(
+    path: Union[str, Path], data: object, indent: Optional[int] = 2
+) -> None:
+    """``indent=None`` is for files only programs read: it takes json's C encoder."""
+    text = json.dumps(data, indent=indent, sort_keys=True)
+    tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text + "\n")
     os.replace(tmp, path)
+
+
+def _read_json_object(path: Union[str, Path]) -> Optional[Dict[str, object]]:
+    """The JSON object stored in ``path`` — or ``None``: absent, caught
+    mid-rewrite, torn, or not an object.  Every reader here is tolerant."""
+    try:
+        with open(path, "rb") as handle:
+            data = json.loads(handle.read())
+    except (OSError, ValueError):
+        return None
+    return data if isinstance(data, dict) else None
+
+
+def _list_dir(directory: Path, suffix: Union[str, Tuple[str, ...]]) -> List[Path]:
+    """Files of ``directory`` ending in ``suffix`` (or one of them), sorted by name.
+
+    One ``os.listdir`` sorted as plain strings; an absent directory lists
+    empty.
+    """
+    try:
+        names = sorted(os.listdir(directory))
+    except (FileNotFoundError, NotADirectoryError):
+        return []
+    return [directory / name for name in names if name.endswith(suffix)]
 
 
 class CampaignStore:
@@ -83,6 +129,10 @@ class CampaignStore:
     def __init__(self, out_dir: Union[str, Path]) -> None:
         self.out_dir = Path(out_dir)
         self.trials_dir = self.out_dir / "trials"
+        # trials/ as a plain-string prefix: a record is read, written or
+        # unlinked several times per trial, and joining a pathlib.Path costs
+        # about a third of such a small read.
+        self._trials_prefix = f"{self.trials_dir}{os.sep}"
         self.spec_path = self.out_dir / "spec.json"
         self.summary_path = self.out_dir / "summary.json"
         self.queue_dir = self.out_dir / "queue"
@@ -92,8 +142,8 @@ class CampaignStore:
         # not treat an empty queue as a finished campaign before this exists.
         self.enqueue_complete_path = self.queue_dir / "enqueue-complete.json"
         # Worker telemetry (see repro.campaign.telemetry): heartbeat files
-        # live next to the claims they vouch for; partial summaries are the
-        # per-worker aggregation states summary.json is merged from.
+        # live next to the claims they vouch for; partials are the per-worker
+        # append-only logs a queue campaign's summary.json is folded from.
         self.heartbeats_dir = self.queue_dir / "heartbeats"
         self.partials_dir = self.queue_dir / "partials"
         # Sweeper-local heartbeat watch, same skew-proof scheme as
@@ -106,6 +156,10 @@ class CampaignStore:
         # skewed relative to ours — observing a claim sit unchanged for a TTL
         # on OUR clock is the skew-proof way to call it orphaned.
         self._claim_watch: Dict[str, tuple] = {}
+        # Claimer-local cached listing of pending/, next job *last* (claims
+        # pop from the end): claim_next / claim_siblings walk it across
+        # claims and re-list only when it runs out.
+        self._pending_cache: List[Path] = []
 
     def ensure_layout(self) -> None:
         self.trials_dir.mkdir(parents=True, exist_ok=True)
@@ -129,27 +183,36 @@ class CampaignStore:
     def trial_path(self, trial_id: str) -> Path:
         return self.trials_dir / f"{trial_id}.json"
 
+    def _trial_file(self, trial_id: str) -> str:
+        return f"{self._trials_prefix}{trial_id}.json"
+
     def write_trial(self, record: Dict[str, object]) -> None:
-        _write_json_atomic(self.trial_path(str(record["trial_id"])), record)
+        _write_json_atomic(self._trial_file(str(record["trial_id"])), record)
 
     def discard_trial(self, trial_id: str) -> None:
         """Delete a trial's record (it is about to be re-executed)."""
         try:
-            self.trial_path(trial_id).unlink()
+            os.unlink(self._trial_file(trial_id))
         except FileNotFoundError:
             pass
 
     def load_trial(self, trial_id: str) -> Optional[Dict[str, object]]:
         """The trial's record, or ``None`` if absent or unreadable."""
-        path = self.trial_path(trial_id)
+        record = _read_json_object(self._trial_file(trial_id))
+        return record if record is not None and "metrics" in record else None
+
+    def recorded_trial_ids(self) -> Set[str]:
+        """Ids with a record *file* present, from one directory listing.
+
+        Cheaper than :meth:`completed_trial_ids` (nothing is opened), so a
+        name here may still turn out unreadable.
+        """
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(record, dict) or "metrics" not in record:
-            return None
-        return record
+            return {
+                name[:-5] for name in os.listdir(self.trials_dir) if name.endswith(".json")
+            }
+        except FileNotFoundError:
+            return set()
 
     def completed_trial_ids(self) -> Set[str]:
         """Ids of every trial with a complete, parseable record on disk."""
@@ -213,7 +276,7 @@ class CampaignStore:
             return False
         job = dict(trial)
         job["order"] = int(order)
-        _write_json_atomic(self.pending_job_path(order, trial_id), job)
+        _write_json_atomic(self.pending_job_path(order, trial_id), job, indent=None)
         return True
 
     def queued_trial_ids(self) -> Set[str]:
@@ -253,14 +316,10 @@ class CampaignStore:
 
     def list_pending(self) -> List[Path]:
         """Pending job files in dispatch order (filename-sorted)."""
-        if not self.pending_dir.is_dir():
-            return []
-        return sorted(self.pending_dir.glob("*.json"))
+        return _list_dir(self.pending_dir, ".json")
 
     def list_claims(self) -> List[Path]:
-        if not self.claims_dir.is_dir():
-            return []
-        return sorted(self.claims_dir.glob("*.json"))
+        return _list_dir(self.claims_dir, ".json")
 
     def peek_job(self, pending_path: Path) -> Optional[Dict[str, object]]:
         """Read a pending job's body without claiming it.
@@ -270,14 +329,8 @@ class CampaignStore:
         job may still be claimed away after a successful peek, so callers
         must go through :meth:`claim_job` before executing.
         """
-        try:
-            with open(pending_path, "r", encoding="utf-8") as handle:
-                job = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(job, dict) or "trial_id" not in job:
-            return None
-        return job
+        job = _read_json_object(pending_path)
+        return job if job is not None and "trial_id" in job else None
 
     def claim_job(self, pending_path: Path, worker_id: str) -> Optional[Dict[str, object]]:
         """Atomically claim one pending job; ``None`` if another worker won.
@@ -301,15 +354,60 @@ class CampaignStore:
             os.utime(claim, None)
         except OSError:
             pass
-        try:
-            with open(claim, "r", encoding="utf-8") as handle:
-                job = json.load(handle)
-        except (OSError, ValueError):
+        job = _read_json_object(claim)
+        if job is None:
             return None
         job["claimed_at"] = time.time()
         job["worker"] = worker_id
-        _write_json_atomic(claim, job)
+        _write_json_atomic(claim, job, indent=None)
         return job
+
+    def claim_next(self, worker_id: str) -> Optional[Dict[str, object]]:
+        """Claim the first claimable pending job; ``None`` if there is none.
+
+        The sorted listing of ``pending/`` is taken once and walked across
+        calls, so draining a queue costs one ``listdir`` + sort, not one per
+        claim.  An entry that went stale since — claimed by another worker —
+        just loses its rename, which is already the protocol.  The listing is
+        retaken only when it runs out, and ``None`` is returned only after a
+        listing taken *during this call* yielded no claim: a job enqueued or
+        requeued after the cached listing was taken is found by the first
+        call that comes up empty-handed, without a poll sleep in between.
+        """
+        for relist in (False, True):
+            if relist:
+                self._pending_cache = self.list_pending()[::-1]
+            cache = self._pending_cache
+            while cache:
+                job = self.claim_job(cache.pop(), worker_id)
+                if job is not None:
+                    return job
+        return None
+
+    def claim_siblings(
+        self, worker_id: str, anchor_key: str, limit: int
+    ) -> List[Dict[str, object]]:
+        """Claim up to ``limit`` further pending jobs whose cost key is ``anchor_key``.
+
+        Walks what :meth:`claim_next` left of the cached listing, in dispatch
+        order.  Entries of other cells stay cached — and claimable by other
+        workers; claimed and vanished ones leave the cache.
+        """
+        claimed: List[Dict[str, object]] = []
+        cache = self._pending_cache
+        index = len(cache)
+        while index > 0 and len(claimed) < limit:
+            index -= 1
+            path = cache[index]
+            peeked = self.peek_job(path)
+            if peeked is None:  # claimed away (or unreadable)
+                del cache[index]
+            elif cost_key(str(peeked["kind"]), peeked["params"]) == anchor_key:
+                del cache[index]
+                job = self.claim_job(path, worker_id)
+                if job is not None:
+                    claimed.append(job)
+        return claimed
 
     def complete_job(self, trial_id: str) -> None:
         """Drop the claim of a trial whose record has been written."""
@@ -325,14 +423,9 @@ class CampaignStore:
         runs ahead of ours, not that the claim comes from the future.
         """
         now = time.time() if now is None else now
-        try:
-            with open(claim_path, "r", encoding="utf-8") as handle:
-                job = json.load(handle)
-            claimed_at = job.get("claimed_at")
-            if isinstance(claimed_at, (int, float)):
-                return max(now - float(claimed_at), 0.0)
-        except (OSError, ValueError):
-            pass
+        claimed_at = (_read_json_object(claim_path) or {}).get("claimed_at")
+        if isinstance(claimed_at, (int, float)):
+            return max(now - float(claimed_at), 0.0)
         try:
             return max(now - claim_path.stat().st_mtime, 0.0)
         except OSError:
@@ -347,21 +440,14 @@ class CampaignStore:
 
     def write_heartbeat(self, worker_id: str, data: Dict[str, object]) -> None:
         self.heartbeats_dir.mkdir(parents=True, exist_ok=True)
-        _write_json_atomic(self.heartbeat_path(worker_id), data)
+        _write_json_atomic(self.heartbeat_path(worker_id), data, indent=None)
 
     def list_heartbeats(self) -> List[Path]:
-        if not self.heartbeats_dir.is_dir():
-            return []
-        return sorted(self.heartbeats_dir.glob("*.json"))
+        return _list_dir(self.heartbeats_dir, ".json")
 
     def load_heartbeat(self, path: Union[str, Path]) -> Optional[Dict[str, object]]:
         """A heartbeat file's content, or ``None`` if unreadable/mid-rewrite."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        return data if isinstance(data, dict) else None
+        return _read_json_object(path)
 
     def clear_heartbeats(self) -> None:
         """Drop all heartbeat files (producer start: stale workers are gone;
@@ -374,31 +460,56 @@ class CampaignStore:
         self._hb_watch.clear()
 
     def partial_path(self, worker_id: str) -> Path:
-        return self.partials_dir / f"{sanitize_worker_id(worker_id)}.json"
+        return self.partials_dir / f"{sanitize_worker_id(worker_id)}.jsonl"
 
-    def write_partial(self, worker_id: str, state: Dict[str, object]) -> None:
-        self.partials_dir.mkdir(parents=True, exist_ok=True)
-        _write_json_atomic(self.partial_path(worker_id), state)
+    def write_partial(self, worker_id: str, entry: Dict[str, object]) -> None:
+        """Append one entry, as one JSON line, to the worker's partial log.
+
+        Open-append-close per entry: the line is on its way to disk when
+        this returns, and a log unlinked under a live worker
+        (:meth:`clear_partials`) is simply recreated by the next append.
+        """
+        line = json.dumps(entry, sort_keys=True) + "\n"
+        path = self.partial_path(worker_id)
+        try:
+            handle = open(path, "a", encoding="utf-8")
+        except FileNotFoundError:
+            self.partials_dir.mkdir(parents=True, exist_ok=True)
+            handle = open(path, "a", encoding="utf-8")
+        with handle:
+            handle.write(line)
 
     def list_partials(self) -> List[Path]:
-        """Committed partial-summary files in deterministic (sorted) order."""
-        if not self.partials_dir.is_dir():
-            return []
-        return sorted(self.partials_dir.glob("*.json"))
+        """The workers' partial logs in deterministic (sorted) order."""
+        return _list_dir(self.partials_dir, ".jsonl")
 
-    def load_partial(self, path: Union[str, Path]) -> Optional[Dict[str, object]]:
+    def load_partial(self, path: Union[str, Path]) -> List[Dict[str, object]]:
+        """Every parseable entry of one partial log, in line order.
+
+        A line that is not a JSON object naming a trial — the torn tail of a
+        worker killed mid-append, whatever got glued to it afterwards — is
+        skipped, never an error.
+        """
+        entries = []
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                state = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        return state if isinstance(state, dict) else None
+            with open(path, "rb") as handle:
+                for line in handle:
+                    try:
+                        entry = json.loads(line)
+                    except ValueError:
+                        continue
+                    if isinstance(entry, dict) and "trial_id" in entry:
+                        entries.append(entry)
+        except OSError:
+            pass
+        return entries
 
     def clear_partials(self) -> None:
-        """Drop all partial summaries (producer start: this run's workers
-        commit fresh ones; anything they don't cover is topped up from the
-        trial records themselves)."""
-        for path in self.list_partials():
+        """Drop all partial logs (producer start: this run's workers append
+        fresh ones; anything they don't cover is topped up from the trial
+        records themselves) — and the ``*.json`` state files a tree from
+        before the logs may have left in the same directory."""
+        for path in _list_dir(self.partials_dir, (".jsonl", ".json")):
             try:
                 path.unlink()
             except FileNotFoundError:
@@ -441,12 +552,7 @@ class CampaignStore:
 
     def claim_worker(self, claim_path: Path) -> str:
         """The worker id recorded on a claim ('' for a bare/unreadable one)."""
-        try:
-            with open(claim_path, "r", encoding="utf-8") as handle:
-                job = json.load(handle)
-            return str(job.get("worker") or "")
-        except (OSError, ValueError):
-            return ""
+        return str((_read_json_object(claim_path) or {}).get("worker") or "")
 
     def _claim_expired(self, claim_path: Path, claim_ttl_s: float) -> bool:
         """Whether a claim is presumed orphaned, robust to cross-host skew.
@@ -522,10 +628,8 @@ class CampaignStore:
         """
         claim = self.claim_path(trial_id)
         try:
-            with open(claim, "r", encoding="utf-8") as handle:
-                job = json.load(handle)
-            order = int(job.get("order", 0))
-        except (OSError, ValueError, TypeError):
+            order = int((_read_json_object(claim) or {}).get("order", 0))
+        except (ValueError, TypeError):
             order = 0
         try:
             os.rename(claim, self.pending_job_path(order, trial_id))
@@ -539,7 +643,9 @@ class CampaignStore:
 
     def mark_enqueue_complete(self, n_trials: int) -> None:
         """Producer signal: every job of the campaign is now in the queue."""
-        _write_json_atomic(self.enqueue_complete_path, {"n_trials": int(n_trials)})
+        _write_json_atomic(
+            self.enqueue_complete_path, {"n_trials": int(n_trials)}, indent=None
+        )
 
     def clear_enqueue_complete(self) -> None:
         """Re-open the queue before (re-)enqueueing a batch of jobs."""
@@ -557,11 +663,7 @@ class CampaignStore:
         _write_json_atomic(self.summary_path, summary)
 
     def load_summary(self) -> Optional[Dict[str, object]]:
-        try:
-            with open(self.summary_path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
+        return _read_json_object(self.summary_path)
 
 
 @dataclass

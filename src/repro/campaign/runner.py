@@ -118,9 +118,6 @@ def run_campaign(
     executor = make_backend(backend, jobs=jobs)
     trials = spec.expand()
     store = CampaignStore(out_dir)
-    # Per-cell elapsed history from a previous run of this directory, read
-    # before write_spec/summary updates can touch anything.
-    history = load_timing_history(store.load_summary()) if executor.reorders else {}
     store.ensure_layout()
     store.write_spec(spec)
     # Let the backend stake out its state before the resume probe below
@@ -131,8 +128,8 @@ def run_campaign(
     # The summary is built incrementally: records stream into this
     # accumulator as they land (resume-skipped ones right here, executed ones
     # in the loop below) instead of being wholesale re-read at the end.  The
-    # queue backend goes one step further — its workers commit partial
-    # summaries, and finalization merges those instead (see the finally).
+    # queue backend's executed records arrive by another road — its workers
+    # log them, and finalization folds the logs in (see the finally).
     accumulator = CampaignAccumulator()
 
     # Probe only this spec's trial ids — not every file in trials/ — so resume
@@ -143,8 +140,7 @@ def run_campaign(
             record = store.load_trial(trial.trial_id)
             if record is not None:
                 done.add(trial.trial_id)
-                if not executor.commits_partials:
-                    accumulator.add_record(record)
+                accumulator.add_record(record)
     pending = [t for t in trials if t.trial_id not in done]
     skipped = [t.trial_id for t in trials if t.trial_id in done]
     total = len(trials)
@@ -161,7 +157,11 @@ def run_campaign(
     # The backend always runs, even with nothing pending: the queue backend
     # reconciles its on-disk queue (purging jobs a since-edited spec left
     # behind, re-sealing the enqueue-complete marker) as part of submit.
-    ordered = schedule_trials(pending, history) if executor.reorders else pending
+    ordered = pending
+    if pending and executor.reorders:
+        # Per-cell elapsed history from a previous run of this directory
+        # (its summary.json is not rewritten before the finally below).
+        ordered = schedule_trials(pending, load_timing_history(store.load_summary()))
     try:
         # Backends persist each record before yielding it, and ids are
         # appended per result — so a later trial raising can never
@@ -187,22 +187,13 @@ def run_campaign(
         # CampaignExecutionError is finalized here too, since the finally
         # block runs before the exception reaches the caller.
         report.executed_trial_ids.sort(key=spec_order.__getitem__)
-        if executor.commits_partials:
-            # Queue campaigns: per-worker partial summaries (committed as the
-            # workers drained) merge into the summary; only trials no partial
-            # accounts for are read back individually.
-            final = merge_partial_summaries(store, trials)
-        else:
-            # Streaming path: everything yielded (and resume-skipped) is
-            # already folded in.  Top up records that exist on disk but never
-            # reached the iterator — e.g. pool results persisted by worker
-            # processes right before a crash — with targeted loads only.
-            final = accumulator
-            for trial in trials:
-                if trial.trial_id not in final.trial_ids:
-                    record = store.load_trial(trial.trial_id)
-                    if record is not None:
-                        final.add_record(record)
+        # Everything yielded (and resume-skipped) is already folded in —
+        # except on the queue backend, whose workers' partial logs are folded
+        # here.  Either way, records that exist on disk but reached neither
+        # the iterator nor a log — pool results persisted right before a
+        # crash, a queue worker killed mid-append — are topped up with
+        # targeted loads only.
+        final = merge_partial_summaries(store, trials, accumulator)
         report.summary = final.finalize(spec=spec)
         store.write_summary(report.summary)
     return report

@@ -2,13 +2,13 @@
 
 ``repro campaign-status <out_dir>`` is built on :func:`campaign_status`: a
 pure snapshot function that only *reads* the directory — spec, queue state,
-recorded trial ids, worker heartbeats, committed partial summaries — and
+recorded trial ids, worker heartbeats, the workers' partial logs — and
 derives:
 
 * per-worker telemetry (state, current trial, trials/min, staleness),
 * per-grid-cell completion counts (done / expected),
-* an ETA from the per-cell elapsed history in the partials' timing blocks
-  (falling back to a previous run's ``summary.json``),
+* an ETA from the per-cell elapsed history of the logged trials (falling
+  back to a previous run's ``summary.json``),
 * the rolled-up ``ignored_axes`` the campaign has hit so far.
 
 Nothing here mutates the campaign: no claims are swept, no files written, so
@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Union
 from .persistence import CampaignStore
 from .scheduling import load_timing_history
 from .spec import cost_key
-from .streaming import CampaignAccumulator, IgnoredAxesAccumulator, TimingAccumulator
+from .streaming import CampaignAccumulator, fold_partial_logs
 
 #: a heartbeat older than this (default) is flagged stale in the status view.
 DEFAULT_STALE_AFTER_S = 15.0
@@ -66,7 +66,7 @@ def campaign_status(
             f"(cannot load spec.json: {exc})"
         )
     trials = spec.expand()
-    recorded = {p.stem for p in store.trials_dir.glob("*.json")}
+    recorded = store.recorded_trial_ids()
 
     # Per-cell completion: expected from the spec grid, done from the trial
     # records present on disk right now.
@@ -88,21 +88,13 @@ def campaign_status(
             workers.append(_worker_row(beat, now, stale_after_s))
     active = [w for w in workers if w["state"] in ("running", "idle") and not w["stale"]]
 
-    # Timing history + ignored-axes rollup from the committed partials; a
-    # previous run's summary.json fills timing gaps for cells no partial has
+    # Timing history + ignored-axes rollup from the workers' partial logs
+    # (the same fold finalize runs, minus the top-up from records); a
+    # previous run's summary.json fills timing gaps for cells no log has
     # seen yet (e.g. at campaign start).
-    timing = TimingAccumulator()
-    ignored = IgnoredAxesAccumulator()
-    for path in store.list_partials():
-        state = store.load_partial(path)
-        if state is None:
-            continue
-        try:
-            part = CampaignAccumulator.from_state(state)
-        except (ValueError, KeyError, TypeError):
-            continue
-        timing.merge(part.timing)
-        ignored.merge(part.ignored_axes)
+    logged = CampaignAccumulator()
+    fold_partial_logs(store, {trial.trial_id for trial in trials}, logged)
+    timing = logged.timing
     cell_means: Dict[str, float] = {
         key: total / count for key, (count, total, _peak) in timing.cells.items() if count
     }
@@ -159,7 +151,7 @@ def campaign_status(
         ],
         "eta_s": eta_s,
         "eta_partial": not eta_known and n_remaining > 0,
-        "ignored_axes": ignored.summary(),
+        "ignored_axes": logged.ignored_axes.summary(),
     }
 
 

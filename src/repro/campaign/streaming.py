@@ -8,51 +8,48 @@ normal approximation ``1.96 * std / sqrt(n)`` (not Student's t) — campaigns
 usually run enough seeds for the difference not to matter, and ``n`` is
 reported so a stricter reader can re-derive t-based intervals.
 
-Instead of re-reading every trial record into memory and folding them in one
-pass, summaries are built from *accumulators* that
-
-* **update** one record at a time (a worker folds each record the moment it
-  lands),
-* **merge** with each other (per-worker partial summaries combine into the
-  campaign summary), and
-* **serialize** to JSON (a worker commits its partial state to disk as it
-  drains the queue; the producer merges the committed partials).
+Summaries are built from *accumulators* that fold one record at a time, so
+nothing ever holds a campaign's records in memory at once: the runner folds
+each record as its backend yields it, and a queue campaign's finalize folds
+the entries its workers appended to their partial logs
+(``queue/partials/<worker>.jsonl``, one :func:`partial_entry` line per
+executed record — see :func:`merge_partial_summaries`).
 
 Exactness contract
 ------------------
 The campaign determinism suite compares serial, pool and queue backends
-byte-identically under ``strip_timing`` — which means the merged-partials
-summary must reproduce the serial summary *to the last bit*, even though
-workers fold records in nondeterministic completion order and the partials
-merge in directory order.
+byte-identically under ``strip_timing`` — which means a summary folded from
+worker logs must reproduce the serial summary *to the last bit*, even though
+workers append in nondeterministic completion order and the logs are read in
+directory order.
 
 Floating-point accumulation cannot deliver that (float addition is not
 associative), so :class:`MetricAccumulator` keeps its running first and
-second moments as exact :class:`fractions.Fraction` values.  Every float is a
-dyadic rational, so sums and products of sample values are exact, and exact
-sums are order-independent; the single rounding step happens in
-:meth:`MetricAccumulator.summary` when the exact moments convert to floats
-(``float(Fraction)`` is correctly rounded).  The textbook reason to prefer
-the Welford recurrence and Chan's parallel combine — cancellation in
-floating-point — therefore vanishes: the moment sums *are* the
-Welford/Chan quantities, computed without error, and ``merge`` is Chan's
-combine specialised to exact arithmetic (plain addition of moments).
+second moments exactly.  Every float is an integer over a power of two, so
+each moment is one Python ``int`` over a shared ``2**exp``: sums and products
+of sample values are exact, exact sums are order-independent, and the single
+rounding step happens in :meth:`MetricAccumulator.summary`, where one
+``int / int`` division (correctly rounded, like ``float(Fraction)``, which is
+defined as that division) converts each exact moment to a float.  The
+textbook reason to prefer the Welford recurrence — cancellation in floating
+point — therefore vanishes: the moment sums *are* the Welford quantities,
+computed without error.  ``tests/campaign/oracle.py`` keeps the
+:class:`fractions.Fraction` formulation as the differential reference.
 
 Duplicates
 ----------
 Queue campaigns can execute one trial twice (a claim stolen from a slow —
-not dead — worker), putting the same trial into two workers' partials.
-Records are deterministic, so the two copies are byte-identical;
-:meth:`remove` subtracts one copy's exact contribution, which is why the
-accumulators support removal at all.  ``min``/``max`` stay valid under this
-restricted removal because the other copy of the value remains accounted.
+not dead — worker), putting the same trial into two workers' logs.  Records
+are deterministic, so the copies are identical outside ``timing``;
+:meth:`CampaignAccumulator.add_record`'s id check drops every copy but the
+first.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from collections.abc import Mapping  # the ABC: this module isinstance-checks against it per record
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .spec import CampaignSpec, canonical_json, cost_key
 
@@ -75,81 +72,60 @@ def strip_timing(data: Mapping[str, object]) -> Dict[str, object]:
     return {k: v for k, v in data.items() if k != "timing"}
 
 
-def _fraction_state(value: Fraction) -> List[int]:
-    return [value.numerator, value.denominator]
-
-
-def _fraction_from_state(state: Sequence[int]) -> Fraction:
-    return Fraction(int(state[0]), int(state[1]))
-
-
 class MetricAccumulator:
     """Exact streaming mean/std/ci95/min/max/n for one metric of one group."""
 
-    __slots__ = ("n", "_sum", "_sumsq", "min", "max")
+    __slots__ = ("n", "_exp", "_sum", "_sumsq", "min", "max")
 
     def __init__(self) -> None:
         self.n = 0
-        self._sum = Fraction(0)
-        self._sumsq = Fraction(0)
+        # Exact moments as scaled integers: the sum of the samples is
+        # ``_sum / 2**_exp`` and the sum of their squares ``_sumsq / 4**_exp``.
+        self._exp = 0
+        self._sum = 0
+        self._sumsq = 0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
 
     def update(self, value: float) -> None:
-        v = Fraction(float(value))
-        self.n += 1
-        self._sum += v
-        self._sumsq += v * v
         fv = float(value)
+        # A float is an integer over a power of two.  NaN and infinities
+        # raise here, before any state changes.
+        num, den = fv.as_integer_ratio()
+        shift = self._exp - den.bit_length() + 1
+        if shift >= 0:
+            num <<= shift
+        else:  # finer than anything seen so far: rescale the moments
+            self._sum <<= -shift
+            self._sumsq <<= -2 * shift
+            self._exp -= shift
+        self.n += 1
+        self._sum += num
+        self._sumsq += num * num
         if self.min is None or fv < self.min:
             self.min = fv
         if self.max is None or fv > self.max:
             self.max = fv
 
-    def merge(self, other: "MetricAccumulator") -> None:
-        """Chan's parallel combine — exact, so it reduces to adding moments."""
-        self.n += other.n
-        self._sum += other._sum
-        self._sumsq += other._sumsq
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-
-    def remove(self, value: float) -> None:
-        """Subtract one duplicate contribution of ``value``.
-
-        Only valid when another exactly-equal contribution of the same trial
-        remains accounted (the queue-backend double-execution case): the
-        moments are exact inverses, and ``min``/``max`` stay correct because
-        the surviving copy still covers the extremes.
-        """
-        if self.n <= 0:
-            raise ValueError("cannot remove from an empty accumulator")
-        v = Fraction(float(value))
-        self.n -= 1
-        self._sum -= v
-        self._sumsq -= v * v
-        if self.n == 0:
-            self.min = None
-            self.max = None
-
     def summary(self) -> Dict[str, float]:
         """The ``{mean, std, ci95, min, max, n}`` block of ``summary.json``.
 
         Edge cases: ``{"n": 0}`` when empty, ``std == ci95 == 0.0`` for a
-        single sample.  The mean is the correctly-rounded float of the exact mean,
-        so it does not depend on accumulation or merge order.
+        single sample.  Mean and variance are each one correctly-rounded
+        ``int / int`` division of exact moments, so they do not depend on
+        the order the samples arrived in.
         """
-        if self.n == 0:
+        n = self.n
+        if n == 0:
             return {"n": 0}
-        mean = float(self._sum / self.n)
-        if self.n > 1:
-            variance = (self._sumsq - self._sum * self._sum / self.n) / (self.n - 1)
-            if variance < 0:  # pragma: no cover - exact arithmetic: impossible
-                variance = Fraction(0)
-            std = math.sqrt(float(variance))
-            ci95 = 1.96 * std / math.sqrt(self.n)
+        mean = self._sum / (n << self._exp)
+        if n > 1:
+            # (sumsq - sum**2 / n) / (n - 1) over one common denominator.
+            variance = (n * self._sumsq - self._sum * self._sum) / (
+                (n * (n - 1)) << (2 * self._exp)
+            )
+            std = math.sqrt(variance)
+            ci95 = 1.96 * std / math.sqrt(n)
         else:
             std = 0.0
             ci95 = 0.0
@@ -159,27 +135,8 @@ class MetricAccumulator:
             "ci95": ci95,
             "min": self.min,
             "max": self.max,
-            "n": self.n,
+            "n": n,
         }
-
-    def to_state(self) -> Dict[str, object]:
-        return {
-            "n": self.n,
-            "sum": _fraction_state(self._sum),
-            "sumsq": _fraction_state(self._sumsq),
-            "min": self.min,
-            "max": self.max,
-        }
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, object]) -> "MetricAccumulator":
-        acc = cls()
-        acc.n = int(state["n"])
-        acc._sum = _fraction_from_state(state["sum"])
-        acc._sumsq = _fraction_from_state(state["sumsq"])
-        acc.min = state.get("min")
-        acc.max = state.get("max")
-        return acc
 
 
 class TimingAccumulator:
@@ -250,61 +207,6 @@ class TimingAccumulator:
                         self.profile_timers.get(str(name), 0.0) + float(value)
                     )
 
-    def merge(self, other: "TimingAccumulator") -> None:
-        self.n += other.n
-        self.total += other.total
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-        for key, (count, total, peak) in other.cells.items():
-            cell = self.cells.setdefault(key, [0, 0.0, peak])
-            cell[0] += count
-            cell[1] += total
-            cell[2] = max(cell[2], peak)
-        for worker, (count, total) in other.workers.items():
-            per_worker = self.workers.setdefault(worker, [0, 0.0])
-            per_worker[0] += count
-            per_worker[1] += total
-        self.n_profiled += other.n_profiled
-        for name, value in other.profile_counters.items():
-            self.profile_counters[name] = self.profile_counters.get(name, 0) + value
-        for name, value in other.profile_timers.items():
-            self.profile_timers[name] = self.profile_timers.get(name, 0.0) + value
-
-    def remove_record(self, record: Mapping[str, object]) -> None:
-        """Subtract one duplicate record's timing contribution (best effort).
-
-        Duplicate executions of a deterministic trial have *different*
-        wall-clock, so exact inversion is neither possible nor needed — the
-        timing block sits outside the determinism-compared view.  Counts are
-        kept honest; min/max may conservatively over-cover.
-        """
-        timing = record.get("timing")
-        if not isinstance(timing, Mapping):
-            return
-        elapsed = timing.get("elapsed_s")
-        if isinstance(elapsed, (int, float)) and self.n > 0:
-            seconds = float(elapsed)
-            self.n -= 1
-            self.total -= seconds
-            key = cost_key(str(record.get("kind", "")), record.get("params", {}) or {})
-            cell = self.cells.get(key)
-            if cell is not None:
-                cell[0] -= 1
-                cell[1] -= seconds
-                if cell[0] <= 0:
-                    del self.cells[key]
-            worker = timing.get("worker")
-            if worker and str(worker) in self.workers:
-                per_worker = self.workers[str(worker)]
-                per_worker[0] -= 1
-                per_worker[1] -= seconds
-                if per_worker[0] <= 0:
-                    del self.workers[str(worker)]
-        if isinstance(timing.get("profile"), Mapping) and self.n_profiled > 0:
-            self.n_profiled -= 1
-
     def summary(self) -> Dict[str, object]:
         if not self.n:
             return {"n": 0}
@@ -340,33 +242,6 @@ class TimingAccumulator:
             }
         return summary
 
-    def to_state(self) -> Dict[str, object]:
-        return {
-            "n": self.n,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "cells": {k: list(v) for k, v in self.cells.items()},
-            "workers": {k: list(v) for k, v in self.workers.items()},
-            "n_profiled": self.n_profiled,
-            "profile_counters": dict(self.profile_counters),
-            "profile_timers": dict(self.profile_timers),
-        }
-
-    @classmethod
-    def from_state(cls, state: Mapping[str, object]) -> "TimingAccumulator":
-        acc = cls()
-        acc.n = int(state.get("n", 0))
-        acc.total = float(state.get("total", 0.0))
-        acc.min = state.get("min")
-        acc.max = state.get("max")
-        acc.cells = {str(k): list(v) for k, v in (state.get("cells") or {}).items()}
-        acc.workers = {str(k): list(v) for k, v in (state.get("workers") or {}).items()}
-        acc.n_profiled = int(state.get("n_profiled", 0))
-        acc.profile_counters = dict(state.get("profile_counters") or {})
-        acc.profile_timers = dict(state.get("profile_timers") or {})
-        return acc
-
 
 class IgnoredAxesAccumulator:
     """Per-base-kind rollup of scenario axes trials could not apply.
@@ -387,8 +262,8 @@ class IgnoredAxesAccumulator:
         scenario = detail.get("scenario") if isinstance(detail, Mapping) else None
         if not isinstance(scenario, Mapping):
             return None
-        axes = scenario.get("ignored_axes") or []
-        if not axes:
+        axes = scenario.get("ignored_axes")
+        if not axes or not isinstance(axes, (list, tuple)):
             return None
         return str(scenario.get("base_kind", "unknown")), [str(a) for a in axes]
 
@@ -403,91 +278,62 @@ class IgnoredAxesAccumulator:
         entry[0].update(axes)
         self.by_kind[base_kind] = (entry[0], entry[1] + 1)
 
-    def remove_record(self, record: Mapping[str, object]) -> None:
-        """Drop one duplicate record's count (axis sets keep the union —
-        the duplicate is byte-identical, so its axes are already covered)."""
-        ignored = self._ignored(record)
-        if ignored is None:
-            return
-        base_kind, _axes = ignored
-        entry = self.by_kind.get(base_kind)
-        if entry is None:
-            return
-        if entry[1] <= 1:
-            del self.by_kind[base_kind]
-        else:
-            self.by_kind[base_kind] = (entry[0], entry[1] - 1)
-
-    def merge(self, other: "IgnoredAxesAccumulator") -> None:
-        for base_kind, (axes, count) in other.by_kind.items():
-            entry = self.by_kind.get(base_kind)
-            if entry is None:
-                self.by_kind[base_kind] = (set(axes), count)
-            else:
-                entry[0].update(axes)
-                self.by_kind[base_kind] = (entry[0], entry[1] + count)
-
     def summary(self) -> Dict[str, Dict[str, object]]:
         return {
             base_kind: {"axes": sorted(axes), "n_trials": count}
             for base_kind, (axes, count) in sorted(self.by_kind.items())
         }
 
-    def to_state(self) -> Dict[str, object]:
-        return {
-            base_kind: {"axes": sorted(axes), "n_trials": count}
-            for base_kind, (axes, count) in self.by_kind.items()
-        }
 
-    @classmethod
-    def from_state(cls, state: Mapping[str, object]) -> "IgnoredAxesAccumulator":
-        acc = cls()
-        for base_kind, entry in (state or {}).items():
-            acc.by_kind[str(base_kind)] = (
-                {str(a) for a in entry.get("axes", [])},
-                int(entry.get("n_trials", 0)),
+def _checked_fields(record: Mapping[str, object]) -> Tuple[Mapping[str, object], Dict[str, float]]:
+    """``(params, {metric: float})`` of a record — or a raise.
+
+    The validate half of validate-then-commit: everything about a record
+    that can fail a fold (``params`` not a mapping, a metric that is not a
+    finite number) fails here, before any accumulator state has changed.
+    """
+    params = record["params"]
+    metrics = record.get("metrics") or {}
+    if not isinstance(params, Mapping) or not isinstance(metrics, Mapping):
+        raise TypeError(
+            f"trial {record.get('trial_id')!r}: params and metrics must be mappings"
+        )
+    values: Dict[str, float] = {}
+    for name, value in metrics.items():
+        number = float(value)
+        if not math.isfinite(number):
+            raise ValueError(
+                f"trial {record.get('trial_id')!r}: metric {name!r} is {number}"
             )
-        return acc
+        values[name] = number
+    return params, values
 
 
 class GroupAccumulator:
     """All metric accumulators of one grid cell, plus its trial roster."""
 
-    def __init__(self, key: str, params: Optional[Mapping[str, object]] = None) -> None:
+    def __init__(self, key: str) -> None:
         self.key = key
-        self.params: Dict[str, object] = dict(params) if params else {}
+        self.params: Dict[str, object] = {}
         # trial_id -> seed; the roster that orders seeds/trial_ids at finalize.
         self.trial_seeds: Dict[str, object] = {}
         self.metrics: Dict[str, MetricAccumulator] = {}
 
     def add_record(self, record: Mapping[str, object]) -> None:
-        params = record["params"]
+        self.fold(str(record["trial_id"]), *_checked_fields(record))
+
+    def fold(
+        self, trial_id: str, params: Mapping[str, object], values: Mapping[str, float]
+    ) -> None:
+        """The commit half: fold one trial's already-validated fields in."""
         if not self.params:
             self.params = {k: v for k, v in params.items() if k != "seed"}
-        self.trial_seeds[str(record["trial_id"])] = params.get("seed")
-        for name, value in (record.get("metrics") or {}).items():
+        self.trial_seeds[trial_id] = params.get("seed")
+        for name, value in values.items():
             acc = self.metrics.get(name)
             if acc is None:
                 acc = self.metrics[name] = MetricAccumulator()
-            acc.update(float(value))
-
-    def remove_record(self, record: Mapping[str, object]) -> None:
-        """Subtract one *duplicate* record (its twin stays accounted)."""
-        for name, value in (record.get("metrics") or {}).items():
-            acc = self.metrics.get(name)
-            if acc is not None:
-                acc.remove(float(value))
-
-    def merge(self, other: "GroupAccumulator") -> None:
-        if not self.params:
-            self.params = dict(other.params)
-        self.trial_seeds.update(other.trial_seeds)
-        for name, acc in other.metrics.items():
-            mine = self.metrics.get(name)
-            if mine is None:
-                self.metrics[name] = acc
-            else:
-                mine.merge(acc)
+            acc.update(value)
 
     def summary(self) -> Dict[str, object]:
         # Trials order by seed (spec order within a cell); the trial id breaks
@@ -506,36 +352,16 @@ class GroupAccumulator:
             },
         }
 
-    def to_state(self) -> Dict[str, object]:
-        return {
-            "params": dict(self.params),
-            "trials": dict(self.trial_seeds),
-            "metrics": {name: acc.to_state() for name, acc in self.metrics.items()},
-        }
-
-    @classmethod
-    def from_state(cls, key: str, state: Mapping[str, object]) -> "GroupAccumulator":
-        acc = cls(key, params=state.get("params"))
-        acc.trial_seeds = dict(state.get("trials") or {})
-        acc.metrics = {
-            str(name): MetricAccumulator.from_state(metric_state)
-            for name, metric_state in (state.get("metrics") or {}).items()
-        }
-        return acc
-
-
-#: on-disk schema version of serialized partial summaries.
-PARTIAL_STATE_VERSION = 1
-
 
 class CampaignAccumulator:
-    """One campaign's summary under construction — updatable and mergeable.
+    """One campaign's summary under construction, folded record by record.
 
     ``finalize`` emits exactly the structure ``aggregate_records`` always
-    wrote; because the per-metric math is exact, a serial accumulator and any
-    merge of per-worker partials over the same trial set produce byte-
-    identical summaries (after ``strip_timing`` — the timing block keeps
-    honest float wall-clock, which differs by construction).
+    wrote; because the per-metric math is exact, the same trial set folded
+    in any order — the serial runner's, or whatever order the workers' logs
+    happen to hold — produces byte-identical summaries (after
+    ``strip_timing`` — the timing block keeps honest float wall-clock, which
+    differs by construction).
     """
 
     def __init__(self) -> None:
@@ -558,46 +384,24 @@ class CampaignAccumulator:
         Trial records are deterministic functions of their parameters, so a
         second record with an already-accounted id is byte-identical (modulo
         timing) and skipping it is exact.  Returns whether the record was new.
+
+        Validate, then commit: a malformed record raises before anything is
+        touched — no half-updated group, and its id stays unaccounted, so a
+        later good copy of the same trial is still folded.
         """
         trial_id = str(record["trial_id"])
         if trial_id in self._trial_ids:
             return False
-        self._trial_ids.add(trial_id)
-        key = group_key(record["params"])
+        params, values = _checked_fields(record)
+        key = group_key(params)
         group = self.groups.get(key)
         if group is None:
             group = self.groups[key] = GroupAccumulator(key)
-        group.add_record(record)
+        group.fold(trial_id, params, values)
         self.timing.add_record(record)
         self.ignored_axes.add_record(record)
+        self._trial_ids.add(trial_id)
         return True
-
-    def remove_record(self, record: Mapping[str, object]) -> None:
-        """Subtract one duplicate record's contribution (pre-merge dedupe).
-
-        Used on a *partial* accumulator whose roster overlaps an already-
-        merged one: the overlapping trial's numeric contribution is removed
-        here so the subsequent :meth:`merge` counts it exactly once.  The
-        trial id itself stays in the roster — the union is what merge wants.
-        """
-        key = group_key(record["params"])
-        group = self.groups.get(key)
-        if group is not None:
-            group.remove_record(record)
-        self.timing.remove_record(record)
-        self.ignored_axes.remove_record(record)
-
-    def merge(self, other: "CampaignAccumulator") -> None:
-        """Combine another accumulator in (caller has deduped overlaps)."""
-        for key, group in other.groups.items():
-            mine = self.groups.get(key)
-            if mine is None:
-                self.groups[key] = group
-            else:
-                mine.merge(group)
-        self.timing.merge(other.timing)
-        self.ignored_axes.merge(other.ignored_axes)
-        self._trial_ids.update(other._trial_ids)
 
     def finalize(self, spec: Optional[CampaignSpec] = None) -> Dict[str, object]:
         """The ``summary.json`` structure (see ``aggregate_records``)."""
@@ -617,66 +421,62 @@ class CampaignAccumulator:
             summary["n_trials_expected"] = spec.n_trials()
         return summary
 
-    def to_state(self) -> Dict[str, object]:
-        """JSON-serializable state — the partial-summary commit format."""
-        return {
-            "version": PARTIAL_STATE_VERSION,
-            "n_trials": len(self._trial_ids),
-            "groups": {key: group.to_state() for key, group in self.groups.items()},
-            "timing": self.timing.to_state(),
-            "ignored_axes": self.ignored_axes.to_state(),
-        }
 
-    @classmethod
-    def from_state(cls, state: Mapping[str, object]) -> "CampaignAccumulator":
-        version = state.get("version")
-        if version != PARTIAL_STATE_VERSION:
-            raise ValueError(f"unsupported partial-summary version {version!r}")
-        acc = cls()
-        for key, group_state in (state.get("groups") or {}).items():
-            group = GroupAccumulator.from_state(str(key), group_state)
-            acc.groups[str(key)] = group
-            acc._trial_ids.update(group.trial_seeds)
-        acc.timing = TimingAccumulator.from_state(state.get("timing") or {})
-        acc.ignored_axes = IgnoredAxesAccumulator.from_state(state.get("ignored_axes") or {})
-        return acc
+def partial_entry(record: Mapping[str, object]) -> Dict[str, object]:
+    """The line a worker logs for a record it executed: what the fold reads.
+
+    That is the record minus ``detail`` (by far its largest part, and nothing
+    the accumulators above look at) — except the two ``detail.scenario``
+    fields :class:`IgnoredAxesAccumulator` rolls up, kept as a stub when the
+    trial did ignore axes.  An entry therefore folds through
+    ``add_record`` exactly like the record it was cut from.
+    """
+    entry = {key: value for key, value in record.items() if key != "detail"}
+    ignored = IgnoredAxesAccumulator._ignored(record)
+    if ignored is not None:
+        base_kind, axes = ignored
+        entry["detail"] = {"scenario": {"base_kind": base_kind, "ignored_axes": axes}}
+    return entry
 
 
-def merge_partial_summaries(store, trials) -> CampaignAccumulator:
-    """Assemble a campaign accumulator from committed per-worker partials.
+def fold_partial_logs(store, trial_ids, accumulator: CampaignAccumulator) -> None:
+    """Fold every usable entry of the workers' partial logs into ``accumulator``.
+
+    Usable means: the line parses, names a trial in ``trial_ids`` (a log can
+    outlive an edit of the spec) and passes ``add_record``'s validation.
+    Anything else — the torn tail line of a worker killed mid-append, a
+    hand-edited line — is skipped, which is always safe: the record itself
+    is on disk (it is written before its log line) and whoever needs the
+    trial reads that instead.  Duplicates across logs (claim-steal double
+    executions) are dropped by ``add_record``'s id check.
+    """
+    for path in store.list_partials():
+        for entry in store.load_partial(path):
+            if str(entry.get("trial_id")) not in trial_ids:
+                continue
+            try:
+                accumulator.add_record(entry)
+            except (KeyError, TypeError, ValueError):
+                continue
+
+
+def merge_partial_summaries(
+    store, trials, accumulator: Optional[CampaignAccumulator] = None
+) -> CampaignAccumulator:
+    """Complete a campaign accumulator from worker logs, then from records.
 
     ``store`` is the campaign's :class:`~repro.campaign.persistence
     .CampaignStore`; ``trials`` the spec's expanded
-    :class:`~repro.campaign.spec.TrialSpec` list.  Partials merge in sorted
-    file order; overlapping trials (claim-steal double executions) are
-    deduplicated by subtracting the duplicate's exact contribution, read back
-    from its record with a *targeted* load — never a wholesale re-read.  Any
-    spec trial no partial accounts for (resume-skipped trials, a worker that
-    died before its final flush) is topped up the same way, record by record.
-
-    A partial naming a duplicate whose record cannot be read is skipped
-    wholesale (its unique trials fall through to the top-up), so a corrupt
-    file can never double-count.
+    :class:`~repro.campaign.spec.TrialSpec` list; ``accumulator`` whatever
+    the runner has folded already (resume-probed and yielded records).  The
+    workers' logs are folded first (:func:`fold_partial_logs`); any spec
+    trial still unaccounted — no log names it (serial and pool campaigns have
+    no logs at all), its worker died mid-append, its line was unusable — is
+    topped up from its record with a *targeted* load, never a wholesale
+    re-read.
     """
-    merged = CampaignAccumulator()
-    for path in store.list_partials():
-        state = store.load_partial(path)
-        if state is None:
-            continue
-        try:
-            part = CampaignAccumulator.from_state(state)
-        except (ValueError, KeyError, TypeError):
-            continue
-        duplicates = sorted(part.trial_ids & merged.trial_ids)
-        usable = True
-        for trial_id in duplicates:
-            record = store.load_trial(trial_id)
-            if record is None:
-                usable = False
-                break
-            part.remove_record(record)
-        if usable:
-            merged.merge(part)
+    merged = CampaignAccumulator() if accumulator is None else accumulator
+    fold_partial_logs(store, {trial.trial_id for trial in trials}, merged)
     for trial in trials:
         if trial.trial_id not in merged.trial_ids:
             record = store.load_trial(trial.trial_id)

@@ -1,4 +1,4 @@
-"""Worker-side telemetry: heartbeat files and partial-summary commits.
+"""Worker-side telemetry: heartbeat files and partial-log appends.
 
 Every queue participant — standalone ``repro campaign-worker`` processes and
 the producer's own drain loop — carries a :class:`WorkerTelemetry` that does
@@ -11,10 +11,13 @@ two things as trials execute:
   (:meth:`~repro.campaign.persistence.CampaignStore.heartbeat_fresh`), and
   ``repro campaign-status`` reads it for per-worker throughput.
 
-* **Partial summaries** (``queue/partials/<worker>.json``): the worker's
-  :class:`~repro.campaign.streaming.CampaignAccumulator` state, committed
-  atomically after each executed record.  The producer merges these into
-  ``summary.json`` instead of re-reading every trial record.
+* **Partial logs** (``queue/partials/<worker>.jsonl``): one appended line
+  (:func:`~repro.campaign.streaming.partial_entry`) per record the worker
+  executed, written strictly after the record itself.  The producer folds
+  these into ``summary.json`` instead of re-reading every trial record, and
+  ``repro campaign-status`` reads them for per-cell timing.  A worker keeps
+  no aggregation state of its own: the cost per record is one small append,
+  whatever the campaign's size.
 
 Heartbeat file format (all timestamps ``time.time()`` epoch seconds)::
 
@@ -45,7 +48,7 @@ from collections import deque
 from typing import Deque, Dict, Optional
 
 from .persistence import CampaignStore
-from .streaming import CampaignAccumulator
+from .streaming import partial_entry
 
 #: how often the heartbeat thread rewrites the beacon file.
 DEFAULT_HEARTBEAT_INTERVAL_S = 2.0
@@ -162,44 +165,28 @@ class WorkerHeartbeat:
 
 
 class PartialSummaryWriter:
-    """Commits a worker's streaming aggregation state after each record."""
+    """Appends one line to the worker's partial log per executed record."""
 
-    def __init__(
-        self, store: CampaignStore, worker_id: str, flush_every: int = 1
-    ) -> None:
-        if flush_every < 1:
-            raise ValueError("flush_every must be at least 1")
+    def __init__(self, store: CampaignStore, worker_id: str) -> None:
         self.store = store
         self.worker_id = worker_id
-        self.flush_every = int(flush_every)
-        self.accumulator = CampaignAccumulator()
-        self._unflushed = 0
 
     def add(self, record: Dict[str, object]) -> None:
-        if not self.accumulator.add_record(record):
-            return
-        self._unflushed += 1
-        if self._unflushed >= self.flush_every:
-            self.flush()
-
-    def flush(self) -> None:
-        if len(self.accumulator) == 0 and self._unflushed == 0:
-            return  # nothing accounted: don't litter an empty partial
         try:
-            self.store.write_partial(self.worker_id, self.accumulator.to_state())
+            self.store.write_partial(self.worker_id, partial_entry(record))
         except OSError:
-            return  # keep accumulating; the next flush (or top-up) covers us
-        self._unflushed = 0
+            pass  # the record is on disk: finalize tops the trial up from it
 
 
 class WorkerTelemetry:
-    """Facade the queue loops drive: heartbeat + partial commits together.
+    """Facade the queue loops drive: heartbeat + partial log together.
 
     The claim/execute helpers accept this (optionally — ``None`` keeps the
     old silent behaviour) and call :meth:`trial_started` /
     :meth:`trial_finished` around each execution.  ``close`` is idempotent
-    and safe on every exit path: it flushes the partial and downgrades the
-    heartbeat to ``stopped`` so the sweeper stops trusting it immediately.
+    and safe on every exit path: it downgrades the heartbeat to ``stopped``
+    so the sweeper stops trusting it immediately (the log has nothing to
+    flush — every line was written when its record landed).
     """
 
     def __init__(
@@ -207,11 +194,10 @@ class WorkerTelemetry:
         store: CampaignStore,
         worker_id: str,
         heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
-        flush_every: int = 1,
     ) -> None:
         self.worker_id = worker_id
         self.heartbeat = WorkerHeartbeat(store, worker_id, heartbeat_interval_s)
-        self.partials = PartialSummaryWriter(store, worker_id, flush_every)
+        self.partials = PartialSummaryWriter(store, worker_id)
         self._closed = False
 
     def start(self) -> "WorkerTelemetry":
@@ -225,9 +211,9 @@ class WorkerTelemetry:
         self.heartbeat.trial_started(trial_id)
 
     def trial_finished(self, record: Dict[str, object], ran: bool) -> None:
-        # Only records this worker physically executed enter its partial:
-        # a skipped (already-recorded) trial belongs to whichever worker
-        # wrote it — or, if that worker died unflushed, to the producer's
+        # Only records this worker physically executed enter its log: a
+        # skipped (already-recorded) trial belongs to whichever worker wrote
+        # it — or, if that worker died before its append, to the producer's
         # record-by-record top-up.
         if ran:
             self.partials.add(record)
@@ -237,5 +223,4 @@ class WorkerTelemetry:
         if self._closed:
             return
         self._closed = True
-        self.partials.flush()
         self.heartbeat.stop()

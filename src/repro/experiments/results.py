@@ -8,6 +8,8 @@ compared against the published tables and figures at a glance.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import typing
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -48,6 +50,17 @@ def jsonify(data: object) -> object:
     return data
 
 
+@functools.lru_cache(maxsize=None)
+def _type_hints(cls: type) -> Dict[str, object]:
+    """``typing.get_type_hints(cls)``, resolved once per config class.
+
+    Resolving compiles and evaluates every string annotation — per field,
+    nested dataclasses included — which a campaign would otherwise pay once
+    per trial.  The result is shared between callers: read it, don't mutate.
+    """
+    return typing.get_type_hints(cls)
+
+
 def config_from_dict(cls: type, data: Dict[str, object]):
     """Instantiate an experiment config dataclass from a plain-JSON dict.
 
@@ -57,8 +70,6 @@ def config_from_dict(cls: type, data: Dict[str, object]):
     rebuilt into that dataclass, and unknown keys raise ``ValueError`` so
     typos in campaign specs fail loudly instead of being ignored.
     """
-    import typing
-
     if not dataclasses.is_dataclass(cls):
         raise TypeError(f"{cls!r} is not a dataclass")
     known = {f.name for f in dataclasses.fields(cls)}
@@ -67,7 +78,7 @@ def config_from_dict(cls: type, data: Dict[str, object]):
         raise ValueError(f"unknown {cls.__name__} parameters: {', '.join(unknown)}")
     # Resolve string annotations (``from __future__ import annotations``) so
     # nested dataclass fields can be detected by type, not by name.
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     kwargs: Dict[str, object] = {}
     for name, value in data.items():
         target = hints.get(name)

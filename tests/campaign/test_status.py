@@ -1,7 +1,7 @@
 """``repro campaign-status``: the read-only snapshot and its rendering.
 
 All state is synthesized on disk exactly as a live campaign would leave it —
-spec.json, trial records, queue jobs, heartbeat beacons, committed partials —
+spec.json, trial records, queue jobs, heartbeat beacons, partial logs —
 and ``campaign_status`` must derive completion, per-worker telemetry,
 staleness, per-cell progress and the ETA without mutating anything.
 """
@@ -13,10 +13,16 @@ import time
 
 import pytest
 
-from repro.campaign import CampaignSpec, CampaignStore, campaign_status, render_status
+from repro.campaign import (
+    CampaignSpec,
+    CampaignStore,
+    aggregate_records,
+    campaign_status,
+    render_status,
+)
 from repro.campaign.spec import cost_key
 from repro.campaign.status import DEFAULT_STALE_AFTER_S
-from repro.campaign.streaming import CampaignAccumulator
+from repro.campaign.streaming import partial_entry
 
 
 @pytest.fixture
@@ -122,14 +128,12 @@ def test_eta_uses_partial_timing_and_divides_by_active_workers(spec, tmp_path):
     full_cell = [t for t in trials if t.params["attack_rate"] == 1.0]
     other_cell = [t for t in trials if t.params["attack_rate"] == 0.5]
 
-    # One worker committed a partial covering the attack_rate=1.0 cell at
-    # 2 s/trial; those trials are also recorded on disk.
-    acc = CampaignAccumulator()
+    # One worker logged the attack_rate=1.0 cell at 2 s/trial; those trials
+    # are also recorded on disk.
     for trial in full_cell:
         record = make_record(trial, elapsed=2.0)
         store.write_trial(record)
-        acc.add_record(record)
-    store.write_partial("w0", acc.to_state())
+        store.write_partial("w0", partial_entry(record))
     now = time.time()
     store.write_heartbeat("w0", heartbeat("w0", now, age=1.0))
     store.write_heartbeat("w1", heartbeat("w1", now, state="idle", age=1.0))
@@ -139,11 +143,9 @@ def test_eta_uses_partial_timing_and_divides_by_active_workers(spec, tmp_path):
     assert status["eta_s"] is None or status["eta_partial"] is True
 
     # Give the 0.5 cell history too (say a previous run's summary would — here
-    # a second partial): 2 trials x 3 s / 2 active workers = 3 s.
-    acc2 = CampaignAccumulator()
-    acc2.add_record(make_record(other_cell[0], elapsed=3.0, worker="w1"))
-    store.write_partial("w1", acc2.to_state())
+    # a second worker's log): 2 trials x 3 s / 2 active workers = 3 s.
     store.write_trial(make_record(other_cell[0], elapsed=3.0, worker="w1"))
+    store.write_partial("w1", partial_entry(make_record(other_cell[0], elapsed=3.0, worker="w1")))
     status = campaign_status(store.out_dir, now=now)
     assert status["trials"]["remaining"] == 1
     assert status["eta_partial"] is False
@@ -166,23 +168,55 @@ def test_eta_done_when_everything_recorded(spec, tmp_path):
     assert "workers: none seen" in render_status(status)
 
 
-def test_ignored_axes_roll_up_from_partials(spec, tmp_path):
+def test_ignored_axes_roll_up_from_partial_logs(spec, tmp_path):
     store = CampaignStore(tmp_path / "c")
     store.ensure_queue_layout()
     store.write_spec(spec)
     trial = spec.expand()[0]
     record = make_record(trial)
     record["detail"] = {
-        "scenario": {"base_kind": "security", "ignored_axes": ["workload"]}
+        "scenario": {"base_kind": "security", "ignored_axes": ["workload"]},
+        "base_result": {"series": list(range(50))},
     }
-    acc = CampaignAccumulator()
-    acc.add_record(record)
-    store.write_partial("w0", acc.to_state())
+    store.write_partial("w0", partial_entry(record))
     status = campaign_status(store.out_dir, now=time.time())
     assert status["ignored_axes"] == {
         "security": {"axes": ["workload"], "n_trials": 1}
     }
     assert "ignored axes: workload" in render_status(status)
+
+
+def test_live_logs_report_what_finalize_will(spec, tmp_path):
+    """The status view and the summary fold the same entries the same way:
+    per-cell means and ``ignored_axes`` read off live logs equal the finished
+    campaign's — duplicates across logs, torn tails, entries of another spec
+    and a pre-log state file notwithstanding."""
+    store = CampaignStore(tmp_path / "c")
+    store.ensure_queue_layout()
+    store.write_spec(spec)
+    trials = spec.expand()
+    records = []
+    for i, trial in enumerate(trials):
+        record = make_record(trial, elapsed=1.0 + i, worker=f"w{i % 2}")
+        record["detail"] = {"scenario": {"base_kind": "security", "ignored_axes": ["workload"]}}
+        records.append(record)
+        store.write_trial(record)
+        store.write_partial(f"w{i % 2}", partial_entry(record))
+    # a stolen claim: w1 executed w0's first trial too, slower
+    store.write_partial("w1", partial_entry({**records[0], "timing": {"elapsed_s": 99.0, "worker": "w1"}}))
+    # a trial of some earlier spec, a pre-log state file, a torn tail
+    store.write_partial("w1", partial_entry({**records[1], "trial_id": "s9-elsewhere"}))
+    (store.partials_dir / "w0.json").write_text('{"version": 1, "groups": {}}')
+    with open(store.partial_path("w1"), "a") as handle:
+        handle.write('{"trial_id": "' + trials[2].trial_id + '", "metr')
+
+    status = campaign_status(store.out_dir, now=time.time())
+    summary = aggregate_records(records)
+    assert status["queue"]["partials"] == 2
+    assert status["ignored_axes"] == summary["ignored_axes"]
+    assert {c["cell"]: c["mean_elapsed_s"] for c in status["cells"]} == {
+        key: cell["mean_elapsed_s"] for key, cell in summary["timing"]["cells"].items()
+    }
 
 
 def test_status_json_round_trips(spec, tmp_path):

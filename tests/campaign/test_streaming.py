@@ -1,11 +1,14 @@
-"""Exactness properties of the streaming (mergeable) aggregation core.
+"""Exactness properties of the streaming aggregation core.
 
-The determinism contract demands that a summary built from per-worker
-partials — folded in nondeterministic completion order, committed to disk,
-reloaded and merged in directory order — is *byte-identical* (under
-``strip_timing``) to the serial one.  These tests pin that property the hard
-way: random record sets, random partitions, random merge orders, duplicate
-(claim-steal) overlaps, JSON round-trips, and the empty-partial edge case.
+The determinism contract demands that a summary folded in whatever order
+records happened to land — a worker's completion order, the line order of
+several partial logs read in directory order — is *byte-identical* (under
+``strip_timing``) to the serial one.  These tests pin that property at the
+accumulator level: the integer moments against the ``Fraction`` formulation
+they replaced (``tests/campaign/oracle.py``) bit for bit, random record sets
+in random fold orders, duplicate (claim-steal) copies, and the
+validate-then-commit fold.  What the logs add on top — partitions over
+files, torn lines, stale entries — is ``test_partial_logs.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import statistics
 import pytest
 
 from repro.campaign.streaming import (
-    PARTIAL_STATE_VERSION,
     CampaignAccumulator,
     GroupAccumulator,
     MetricAccumulator,
@@ -69,27 +71,63 @@ def two_pass_reference(values):
 
 
 # ------------------------------------------------------- metric accumulator
+def summary_bytes(accumulator_cls, values):
+    """The summary of ``values`` folded in order, as bytes — or the error's type."""
+    acc = accumulator_cls()
+    try:
+        for v in values:
+            acc.update(v)
+        return json.dumps(acc.summary(), sort_keys=True)
+    except (OverflowError, ValueError) as exc:
+        return type(exc).__name__
+
+
+#: every corner of the float format the scaled-integer moments must get right:
+#: the smallest subnormal, a tiny normal, one, an integer that needs 54 bits,
+#: big-but-squarable magnitudes, negative zero, and non-float numerics.
+TAME_SPECIALS = [5e-324, 1e-300, 1.0, 2**53 + 1, 1e150, -1e150, -0.0, 0.0, 3, True, False, 0.1, 0.2, 0.3]
+#: whose squares overflow a float: the variance raises — in both formulations.
+WILD_SPECIALS = TAME_SPECIALS + [1e308, -1e308]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 1000])
+@pytest.mark.parametrize("specials", [TAME_SPECIALS, WILD_SPECIALS], ids=["tame", "wild"])
+def test_integer_moments_equal_the_fraction_oracle_bit_for_bit(moment_oracle, specials, n):
+    for seed in range(6):
+        rng = random.Random(1000 * n + seed)
+        values = [
+            rng.choice(specials)
+            if rng.random() < 0.5
+            else rng.uniform(-1e3, 1e3) * 10 ** rng.randint(-12, 12)
+            for _ in range(n)
+        ]
+        for _ in range(3):
+            rng.shuffle(values)
+            assert summary_bytes(MetricAccumulator, values) == summary_bytes(
+                moment_oracle.MetricAccumulator, values
+            )
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_nan_and_inf_raise_before_any_state_changes(bad):
+    acc = MetricAccumulator()
+    for v in (1.5, -2.25, 1e-9):
+        acc.update(v)
+    before = json.dumps(acc.summary(), sort_keys=True)
+    with pytest.raises((ValueError, OverflowError)):
+        acc.update(bad)
+    assert acc.n == 3
+    assert json.dumps(acc.summary(), sort_keys=True) == before
+
+
 @pytest.mark.parametrize("seed", range(5))
-def test_merged_partials_match_two_pass_reference(seed):
+def test_integer_moments_match_two_pass_reference(seed):
     rng = random.Random(seed)
     values = [rng.uniform(-1e6, 1e6) * 10 ** rng.randint(-8, 8) for _ in range(200)]
-
-    # Split into random contiguous chunks, fold each into its own partial,
-    # merge in shuffled order.
-    cuts = sorted(rng.sample(range(1, len(values)), 5))
-    chunks = [values[a:b] for a, b in zip([0] + cuts, cuts + [len(values)])]
-    partials = []
-    for chunk in chunks:
-        acc = MetricAccumulator()
-        for v in chunk:
-            acc.update(v)
-        partials.append(acc)
-    rng.shuffle(partials)
-    merged = MetricAccumulator()
-    for part in partials:
-        merged.merge(part)
-
-    got = merged.summary()
+    acc = MetricAccumulator()
+    for v in rng.sample(values, len(values)):
+        acc.update(v)
+    got = acc.summary()
     ref_mean, ref_std, ref_ci = two_pass_reference(values)
     assert got["n"] == len(values)
     assert got["min"] == min(values) and got["max"] == max(values)
@@ -99,25 +137,15 @@ def test_merged_partials_match_two_pass_reference(seed):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_any_merge_order_is_byte_identical(seed):
+def test_any_fold_order_is_byte_identical(seed):
     rng = random.Random(100 + seed)
-    values = [rng.uniform(-50, 50) for _ in range(64)]
-    chunks = [values[i::4] for i in range(4)]
-
-    def merged_summary(order):
-        out = MetricAccumulator()
-        for idx in order:
-            part = MetricAccumulator()
-            for v in chunks[idx]:
-                part.update(v)
-            out.merge(part)
-        return json.dumps(out.summary(), sort_keys=True)
-
-    baseline = merged_summary(range(4))
+    # Magnitudes 24 decades apart: every reordering rescales the moments at
+    # different points, and float addition would round differently each time.
+    values = [rng.uniform(-50, 50) * 10 ** rng.randint(-12, 12) for _ in range(64)]
+    baseline = summary_bytes(MetricAccumulator, values)
     for _ in range(6):
-        order = list(range(4))
-        rng.shuffle(order)
-        assert merged_summary(order) == baseline
+        rng.shuffle(values)
+        assert summary_bytes(MetricAccumulator, values) == baseline
 
 
 def test_streaming_matches_batch_summarize():
@@ -136,90 +164,42 @@ def test_streaming_matches_batch_summarize():
 
 
 def test_empty_and_single_sample_edges():
-    empty = MetricAccumulator()
-    assert empty.summary() == {"n": 0}
-
-    # Merging an empty partial is the identity, in either direction.
+    assert MetricAccumulator().summary() == {"n": 0}
     one = MetricAccumulator()
     one.update(4.25)
-    before = json.dumps(one.summary(), sort_keys=True)
-    one.merge(MetricAccumulator())
-    assert json.dumps(one.summary(), sort_keys=True) == before
-    empty.merge(one)
-    assert json.dumps(empty.summary(), sort_keys=True) == before
     assert one.summary() == {
         "mean": 4.25, "std": 0.0, "ci95": 0.0, "min": 4.25, "max": 4.25, "n": 1,
     }
 
 
-def test_remove_is_the_exact_inverse_of_a_duplicate_update():
-    rng = random.Random(11)
-    values = [rng.uniform(-10, 10) for _ in range(30)]
-    dup = values[13]
+def test_identical_samples_have_exactly_zero_spread():
+    """No cancellation residue: n copies of 0.1 have std 0.0, not 1e-17."""
     acc = MetricAccumulator()
-    for v in values:
-        acc.update(v)
-    reference = json.dumps(acc.summary(), sort_keys=True)
-    acc.update(dup)   # the claim-steal double execution
-    acc.remove(dup)   # the pre-merge dedupe
-    assert json.dumps(acc.summary(), sort_keys=True) == reference
-
-    with pytest.raises(ValueError):
-        MetricAccumulator().remove(1.0)
-
-
-def test_metric_state_round_trips_through_json():
-    acc = MetricAccumulator()
-    for v in (0.1, 0.2, 0.3):  # classic non-associative floats
-        acc.update(v)
-    state = json.loads(json.dumps(acc.to_state()))
-    back = MetricAccumulator.from_state(state)
-    assert json.dumps(back.summary(), sort_keys=True) == json.dumps(
-        acc.summary(), sort_keys=True
-    )
+    for _ in range(1000):
+        acc.update(0.1)
+    summary = acc.summary()
+    assert summary["mean"] == 0.1 and summary["std"] == 0.0 and summary["ci95"] == 0.0
 
 
 # ----------------------------------------------------- campaign accumulator
 @pytest.mark.parametrize("seed", range(4))
-def test_partitioned_partials_reproduce_serial_summary(seed):
-    """Random partition + duplicates + JSON round-trip + shuffled merge ==
-    the serial fold, byte-for-byte under strip_timing."""
+def test_any_record_order_with_duplicates_reproduces_serial_summary(seed):
+    """Shuffled fold order + duplicate (stolen-claim) copies == the serial
+    fold, byte-for-byte under strip_timing."""
     rng = random.Random(200 + seed)
     records = random_records(rng, n_trials=40)
+    expected = json.dumps(strip_timing(aggregate_records(records)), sort_keys=True)
 
-    serial = CampaignAccumulator()
-    for record in records:
-        serial.add_record(record)
-    expected = json.dumps(strip_timing(serial.finalize()), sort_keys=True)
-
-    # Partition across 3 "workers"; ~20% of trials also execute on a second
-    # worker (stolen claims) — byte-identical records, per the contract.
-    partitions = [[], [], []]
-    for record in records:
-        partitions[rng.randrange(3)].append(record)
-        if rng.random() < 0.2:
-            partitions[rng.randrange(3)].append(record)
-
-    partial_states = []
-    for part_records in partitions:
+    # ~20% of trials were also executed by a second worker: byte-identical
+    # outside timing, per the determinism contract.
+    copies = [dict(r, timing={"elapsed_s": 9.0, "worker": "w1"}) for r in records if rng.random() < 0.2]
+    for _ in range(4):
+        arrival = records + copies
+        rng.shuffle(arrival)
         acc = CampaignAccumulator()
-        for record in part_records:
-            acc.add_record(record)  # in-worker dedupe: same-id copies skipped
-        if len(acc):
-            partial_states.append(json.loads(json.dumps(acc.to_state())))
-
-    rng.shuffle(partial_states)
-    merged = CampaignAccumulator()
-    by_id = {r["trial_id"]: r for r in records}
-    for state in partial_states:
-        part = CampaignAccumulator.from_state(state)
-        for trial_id in sorted(part.trial_ids & merged.trial_ids):
-            part.remove_record(by_id[trial_id])
-        merged.merge(part)
-    for record in records:  # top-up anything no partial covered
-        merged.add_record(record)
-
-    assert json.dumps(strip_timing(merged.finalize()), sort_keys=True) == expected
+        folded = [acc.add_record(record) for record in arrival]
+        assert sum(folded) == len(records)  # every copy after the first was dropped
+        assert json.dumps(strip_timing(acc.finalize()), sort_keys=True) == expected
 
 
 def test_campaign_accumulator_matches_aggregate_records():
@@ -244,29 +224,52 @@ def test_add_record_dedupes_by_trial_id():
     assert group["metrics"]["m"]["n"] == 1
 
 
-def test_merging_an_empty_partial_is_the_identity():
-    records = random_records(random.Random(3), n_trials=8)
-    acc = CampaignAccumulator()
-    for record in records:
-        acc.add_record(record)
-    before = json.dumps(strip_timing(acc.finalize()), sort_keys=True)
-    acc.merge(CampaignAccumulator())
-    assert json.dumps(strip_timing(acc.finalize()), sort_keys=True) == before
-
+def test_empty_accumulator_finalizes_to_zero_trials():
     empty = CampaignAccumulator()
-    assert len(empty) == 0
-    assert empty.finalize()["n_trials"] == 0
-    # An empty accumulator's state must not round-trip into phantom trials.
-    back = CampaignAccumulator.from_state(json.loads(json.dumps(empty.to_state())))
-    assert len(back) == 0
+    assert len(empty) == 0 and empty.trial_ids == set()
+    summary = empty.finalize()
+    assert summary["n_trials"] == 0 and summary["groups"] == []
+    assert summary["timing"] == {"n": 0} and "ignored_axes" not in summary
 
 
-def test_unsupported_partial_version_is_rejected():
-    state = CampaignAccumulator().to_state()
-    assert state["version"] == PARTIAL_STATE_VERSION
-    state["version"] = PARTIAL_STATE_VERSION + 1
+# ------------------------------------------------- validate, then commit
+BAD_RECORDS = {
+    "non-numeric metric": {"metrics": {"a": 1.0, "b": "not a number"}},
+    "NaN metric": {"metrics": {"a": 1.0, "b": float("nan")}},
+    "infinite metric": {"metrics": {"a": 1.0, "b": float("inf")}},
+    "metrics not a mapping": {"metrics": [1.0, 2.0]},
+    "params not a mapping": {"params": ["attack_rate", 1.0]},
+}
+
+
+@pytest.mark.parametrize("damage", BAD_RECORDS.values(), ids=BAD_RECORDS.keys())
+def test_a_bad_record_raises_and_touches_nothing(damage):
+    """The double-count / lost-trial bug: the fold used to account the id,
+    count metric ``a`` and then raise on ``b`` — leaving a half-updated group
+    and rejecting a later good copy of the same trial as a duplicate."""
+    good = make_record("s0-good", {"attack_rate": 1.0, "seed": 0}, {"a": 1.0, "b": 2.0})
+    victim = make_record("s1-victim", {"attack_rate": 1.0, "seed": 1}, {"a": 3.0, "b": 4.0})
+    acc = CampaignAccumulator()
+    acc.add_record(good)
+    before = json.dumps(acc.finalize(), sort_keys=True)
+
+    with pytest.raises((TypeError, ValueError)):
+        acc.add_record({**victim, **damage})
+    assert acc.trial_ids == {"s0-good"}
+    assert json.dumps(acc.finalize(), sort_keys=True) == before  # no 'b': {'n': 0} beside a counted 'a'
+
+    # ... and the good copy of the same trial is still new, and counts once.
+    assert acc.add_record(victim) is True
+    [group] = acc.finalize()["groups"]
+    assert group["trial_ids"] == ["s0-good", "s1-victim"]
+    assert group["metrics"]["a"]["n"] == group["metrics"]["b"]["n"] == 2
+
+
+def test_a_bad_first_record_of_a_cell_leaves_no_empty_group():
+    acc = CampaignAccumulator()
     with pytest.raises(ValueError):
-        CampaignAccumulator.from_state(state)
+        acc.add_record(make_record("s0-x", {"attack_rate": 2.0, "seed": 0}, {"m": float("nan")}))
+    assert acc.groups == {} and acc.finalize()["n_groups"] == 0
 
 
 def test_group_key_drops_only_the_seed():

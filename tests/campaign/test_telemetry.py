@@ -1,4 +1,4 @@
-"""Worker heartbeats, partial-summary commits, and the sweeper's slow-vs-dead
+"""Worker heartbeats, partial-log appends, and the sweeper's slow-vs-dead
 distinction.
 
 The satellite regression here is the *slow worker*: a single trial that
@@ -20,7 +20,7 @@ import pytest
 from repro.campaign import CampaignSpec, CampaignStore
 from repro.campaign.backends.queue import claim_and_execute_next
 from repro.campaign.registry import _REGISTRY, ExperimentAdapter
-from repro.campaign.streaming import CampaignAccumulator
+from repro.campaign.streaming import partial_entry
 from repro.campaign.telemetry import (
     PartialSummaryWriter,
     WorkerHeartbeat,
@@ -100,31 +100,50 @@ def test_heartbeat_rejects_nonpositive_interval(tmp_path):
         WorkerHeartbeat(store, "w0", interval_s=0.0)
 
 
-# ----------------------------------------------------------- partial commits
-def test_partial_writer_commits_after_each_record(tmp_path):
+# ------------------------------------------------------------- partial logs
+def logged_ids(store, worker):
+    return [entry["trial_id"] for entry in store.load_partial(store.partial_path(worker))]
+
+
+def test_partial_writer_appends_one_line_per_record(tmp_path):
     store = CampaignStore(tmp_path / "c")
     store.ensure_queue_layout()
     writer = PartialSummaryWriter(store, "w0")
-    writer.add(make_record("s0-a"))
+    first = make_record("s0-a")
+    first["detail"] = {"config": {"n_nodes": 60}, "series": list(range(1000))}
+    writer.add(first)
     [path] = store.list_partials()
-    state = store.load_partial(path)
-    assert set(CampaignAccumulator.from_state(state).trial_ids) == {"s0-a"}
+    assert path == store.partial_path("w0") and path.suffix == ".jsonl"
+    assert store.load_partial(path) == [partial_entry(first)]
+    size_of_one = path.stat().st_size
+    assert size_of_one < 400  # the entry is what the fold reads, not the record's detail
 
-    writer.add(make_record("s0-a"))  # duplicate: no change
     writer.add(make_record("s1-b"))
-    state = store.load_partial(store.partial_path("w0"))
-    back = CampaignAccumulator.from_state(state)
-    assert set(back.trial_ids) == {"s0-a", "s1-b"}
-    [group] = back.finalize()["groups"]
-    assert group["metrics"]["m"]["n"] == 2
+    writer.add(make_record("s1-b"))  # a worker keeps no state: a re-execution is logged again
+    assert logged_ids(store, "w0") == ["s0-a", "s1-b", "s1-b"]
+    # ... appended, not rewritten: the first line is still the file's prefix.
+    assert path.read_bytes()[:size_of_one] == (json.dumps(partial_entry(first), sort_keys=True) + "\n").encode()
 
 
-def test_partial_writer_never_litters_an_empty_partial(tmp_path):
+def test_partial_writer_never_litters_an_empty_log(tmp_path):
     store = CampaignStore(tmp_path / "c")
     store.ensure_queue_layout()
-    writer = PartialSummaryWriter(store, "w0")
-    writer.flush()
+    telemetry = WorkerTelemetry(store, "w0", heartbeat_interval_s=30.0).start()
+    telemetry.close()
     assert store.list_partials() == []
+    assert not store.partial_path("w0").exists()
+
+
+def test_partial_writer_survives_a_vanished_or_unwritable_directory(tmp_path):
+    """Telemetry must never kill the worker it describes."""
+    store = CampaignStore(tmp_path / "c")
+    writer = PartialSummaryWriter(store, "w0")
+    writer.add(make_record("s0-a"))  # no queue/ at all yet: the append creates partials/
+    assert logged_ids(store, "w0") == ["s0-a"]
+    store.partial_path("w0").unlink()
+    store.partials_dir.rmdir()
+    store.partials_dir.write_text("not a directory")
+    writer.add(make_record("s1-b"))  # OSError swallowed: finalize tops the trial up
 
 
 def test_worker_telemetry_close_is_idempotent_and_final(tmp_path):
@@ -134,7 +153,7 @@ def test_worker_telemetry_close_is_idempotent_and_final(tmp_path):
     telemetry.note_claim()
     telemetry.trial_started("s0-a")
     telemetry.trial_finished(make_record("s0-a"), ran=True)
-    # Skipped trials stay out of the partial: the record belongs to whoever
+    # Skipped trials stay out of the log: the record belongs to whoever
     # executed it.
     telemetry.trial_started("s0-b")
     telemetry.trial_finished(make_record("s0-b"), ran=False)
@@ -144,8 +163,7 @@ def test_worker_telemetry_close_is_idempotent_and_final(tmp_path):
     beat = store.load_heartbeat(store.heartbeat_path("w0"))
     assert beat["state"] == "stopped"
     assert beat["trials_done"] == 1 and beat["trials_skipped"] == 1
-    state = store.load_partial(store.partial_path("w0"))
-    assert set(CampaignAccumulator.from_state(state).trial_ids) == {"s0-a"}
+    assert logged_ids(store, "w0") == ["s0-a"]
     assert store.heartbeat_fresh("w0", ttl_s=3600.0) is False  # stopped = not alive
 
 
@@ -265,9 +283,8 @@ def test_slow_trial_survives_aggressive_sweeping_end_to_end(tmp_path, monkeypatc
     record = store.load_trial(trial.trial_id)
     assert record is not None and record["metrics"]["slept_s"] == 0.4
     assert store.queue_drained()
-    # Its partial covers the trial it executed.
-    state = store.load_partial(store.partial_path("slow-w"))
-    assert trial.trial_id in CampaignAccumulator.from_state(state).trial_ids
+    # Its log covers the trial it executed.
+    assert logged_ids(store, "slow-w") == [trial.trial_id]
 
 
 def test_heartbeat_files_survive_hostile_worker_ids(tmp_path):

@@ -15,20 +15,29 @@ from repro.crypto.ca import CertificateAuthority
 from repro.sim.rng import RandomSource
 
 
-@pytest.fixture(scope="session")
-def table_oracle():
-    """``tests/chord/oracle.py``: the uncached routing-table derivations.
+def _load_by_path(name: str, relative: str):
+    """A test-side module loaded by path under a distinct name.
 
-    Test directories share one import namespace and ``tests/kernel`` has an
-    ``oracle`` module of its own, so this one is loaded by path under a
-    distinct name.
+    Test directories share one import namespace and several of them have an
+    ``oracle`` module of their own, so none of them can be imported as
+    ``oracle``.
     """
-    spec = importlib.util.spec_from_file_location(
-        "chord_table_oracle", Path(__file__).parent / "chord" / "oracle.py"
-    )
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).parent / relative)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def table_oracle():
+    """``tests/chord/oracle.py``: the uncached routing-table derivations."""
+    return _load_by_path("chord_table_oracle", "chord/oracle.py")
+
+
+@pytest.fixture(scope="session")
+def moment_oracle():
+    """``tests/campaign/oracle.py``: the ``Fraction`` metric accumulator."""
+    return _load_by_path("campaign_moment_oracle", "campaign/oracle.py")
 
 
 @pytest.fixture

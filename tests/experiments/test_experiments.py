@@ -313,3 +313,25 @@ class TestResultFormatting:
         record.notes.append("scaled-down run")
         text = record.to_text()
         assert "demo" in text and "curve" in text and "scaled-down" in text
+
+
+def test_config_from_dict_resolves_type_hints_once_per_class(monkeypatch):
+    """A campaign rebuilds one config per trial; resolving the annotations
+    (a ``compile`` + ``eval`` per field, nested dataclasses included) is per
+    class, not per trial."""
+    import typing
+
+    from repro.experiments import results
+
+    resolved = []
+    real = typing.get_type_hints
+    monkeypatch.setattr(typing, "get_type_hints", lambda cls: resolved.append(cls) or real(cls))
+    results._type_hints.cache_clear()
+    for seed in range(40):
+        config = results.config_from_dict(
+            SecurityExperimentConfig,
+            {"n_nodes": 60, "octopus": {"expected_network_size": 60}, "seed": seed},
+        )
+    assert config.seed == 39 and config.octopus.expected_network_size == 60
+    assert isinstance(config.octopus, OctopusConfig)
+    assert sorted(cls.__name__ for cls in resolved) == ["OctopusConfig", "SecurityExperimentConfig"]
